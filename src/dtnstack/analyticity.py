@@ -18,17 +18,15 @@ entries, or trajectory parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dtn import DtnCertificate, DtnMap, dtn, dtn_from_tensors, gamma, lambda_map
+from .dtn import TANGENTIAL_INDICES, DtnCertificate, DtnMap, boundary_operators, dtn_from_tensors
 from .exceptions import DomainError, ParameterError
 from .herglotz import material_response
 from .linalg import as_cmatrix, hermitian_parts
 from .stack import StackSpec
-from .transfer import transfer
 
 __all__ = [
     "AnalyticityReport",
@@ -42,6 +40,7 @@ __all__ = [
     "slice_analyticity",
     "scalar_sample",
     "phase_tensors",
+    "phase_dtn",
 ]
 
 
@@ -122,12 +121,6 @@ def omega_grid_points(re_min: float, re_max: float, re_steps: int,
     return [complex(r, i) for r in res for i in ims]
 
 
-def _compression_at(stack: StackSpec, kappa, omega, z0: float, z1: float) -> np.ndarray:
-    """Tangential compression of the boundary operator, no certificates."""
-    T = transfer(stack, kappa, omega, z0, z1)
-    return lambda_map(gamma(T), z0, z1).tangential_compression
-
-
 class PointRecord(NamedTuple):
     """One grid point of a certification sweep."""
 
@@ -151,15 +144,14 @@ def certify_point(stack: StackSpec, kappa, omega, z0: float | None = None,
     w = complex(omega)
     z0 = stack.z_min if z0 is None else float(z0)
     z1 = stack.z_max if z1 is None else float(z1)
-    L, cert = dtn(stack, kappa, w, z0, z1)
     h = default_cr_step(w) if step is None else float(step)
     h = min(h, 0.5 * w.imag)
-    stencil = [_compression_at(stack, kappa, w + d, z0, z1)
-               for d in (h, -h, 1j * h, -1j * h)]
-    res = _stencil_residual(*stencil, h)
+    stencil = w + np.array([0.0, h, -h, 1j * h, -1j * h])
+    L, cert = boundary_operators(stack, kappa, stencil, z0, z1)
+    comp = L[:, TANGENTIAL_INDICES][:, :, TANGENTIAL_INDICES]
+    res = _stencil_residual(*comp[1:], h)
     record = PointRecord(w, cert.im_min_eig, float(np.max(res)),
-                         cert.well_defined.condition_T12,
-                         L.tangential_compression)
+                         cert.well_defined.condition_T12, comp[0])
     return record, cert
 
 
@@ -175,31 +167,25 @@ class HerglotzCertificate:
     anomalies: tuple[str, ...]
 
 
-def _certify_one(stack: StackSpec, kappa, z0, z1, step, omega):
-    """Top-level worker so grid points can be farmed out to processes."""
-    return certify_point(stack, kappa, omega, z0, z1, step=step)
-
-
 def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
                      z0: float | None = None, z1: float | None = None,
-                     cr_tol: float = 1e-5, map_fn=None,
+                     cr_tol: float = 1e-5,
                      step: float | None = None) -> HerglotzCertificate:
     """Certify positivity and analyticity margins over a frequency grid.
 
     The verdict passes iff every grid point has a strictly positive smallest
     eigenvalue of ``Im`` on the tangential compression, every CR residual is
     below ``cr_tol``, all layers are passive at every point, and no
-    theorem-contradicting anomaly was recorded. ``map_fn`` may supply a
-    parallel ``map`` (e.g. from an executor); results do not depend on it.
+    theorem-contradicting anomaly was recorded. Each grid point is one
+    batched propagation of the frequency and its four stencil neighbours.
     ``step`` overrides the per-point default CR stencil width.
     """
     if not grid:
         raise ParameterError("grid must be nonempty")
-    worker = partial(_certify_one, stack, kappa, z0, z1, step)
-    pairs = list((map_fn or map)(worker, [complex(w) for w in grid]))
     points, anomalies = [], []
     all_passive = True
-    for record, cert in pairs:
+    for w in grid:
+        record, cert = certify_point(stack, kappa, complex(w), z0, z1, step=step)
         points.append(record)
         all_passive = all_passive and cert.passive
         anomalies.extend(cert.anomalies)
@@ -239,6 +225,16 @@ def phase_tensors(stack: StackSpec, omega) -> tuple[list[str], list[int], list[n
             tensors[p] = we
             tensors[len(labels) + p] = wm
     return labels, phase_of_layer, tensors
+
+
+def phase_dtn(stack: StackSpec, kappa, phase_of_layer: Sequence[int],
+              Z: Sequence[np.ndarray]) -> DtnMap:
+    """Boundary operator of ``stack`` with each layer's tensors taken from its
+    phase in ``Z = (omega*eps per phase..., omega*mu per phase...)``."""
+    P = len(Z) // 2
+    layer_tensors = [(ly.thickness, Z[p], Z[P + p])
+                     for ly, p in zip(stack.layers, phase_of_layer)]
+    return dtn_from_tensors(layer_tensors, kappa, stack.c, stack.z_min)[0]
 
 
 def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
@@ -301,17 +297,12 @@ def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
                     f"step {h} pushes Im Z[{tensor_index}] out of positive "
                     f"definiteness; decrease the step")
 
-    thicknesses = [ly.thickness for ly in stack.layers]
     i_entry, j_entry = entry
 
     def lam_entry(t: complex, D: np.ndarray) -> complex:
         Zt = list(Z)
         Zt[tensor_index] = base + t * D
-        layer_tensors = [(thicknesses[j], Zt[phase_of_layer[j]],
-                          Zt[P + phase_of_layer[j]])
-                         for j in range(len(thicknesses))]
-        L, _ = dtn_from_tensors(layer_tensors, kappa, stack.c, stack.z_min)
-        return complex(L.matrix[i_entry, j_entry])
+        return complex(phase_dtn(stack, kappa, phase_of_layer, Zt).matrix[i_entry, j_entry])
 
     worst = 0.0
     for D in directions:

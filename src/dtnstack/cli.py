@@ -4,9 +4,9 @@ Subcommands::
 
     dtnstack transfer   --config cfg.json [--out DIR]
     dtnstack dtn        --config cfg.json [--out DIR]
-    dtnstack certify    --config cfg.json [--out DIR] [--tol T] [--parallel N] [--cr-step H]
+    dtnstack certify    --config cfg.json [--out DIR] [--tol T] [--cr-step H]
     dtnstack energy     --config cfg.json [--out DIR] [--tol T] [--quad-points N]
-    dtnstack sweep      --config cfg.json [--out DIR] [--parallel N] [--cr-step H]
+    dtnstack sweep      --config cfg.json [--out DIR] [--cr-step H]
     dtnstack trajectory --config cfg.json [--out DIR] [--tol T]
 
 Exit codes: 0 success, 1 usage or input error, 2 certification failure or
@@ -32,20 +32,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .analyticity import (
-    certify_point,
     herglotz_certify,
     omega_grid_points,
+    phase_dtn,
     phase_tensors,
     scalar_sample,
 )
-from .dtn import dtn, dtn_from_tensors, energy_balance, flux_form
+from .dtn import dtn, energy_balance, flux_form
 from .exceptions import (
     NumericRangeError,
     SingularMatrixError,
@@ -262,19 +262,10 @@ def _cmd_dtn(cfg: RunConfig, args) -> tuple[dict, list, int]:
     return results, list(cert.anomalies), 0 if cert.ok else 2
 
 
-def _grid_certify(cfg: RunConfig, args, cr_tol: float):
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as ex:
-            return herglotz_certify(cfg.stack, cfg.kappa, cfg.grid, cfg.z0,
-                                    cfg.z1, cr_tol=cr_tol, map_fn=ex.map,
-                                    step=args.cr_step)
-    return herglotz_certify(cfg.stack, cfg.kappa, cfg.grid, cfg.z0, cfg.z1,
-                            cr_tol=cr_tol, step=args.cr_step)
-
-
 def _cmd_certify(cfg: RunConfig, args) -> tuple[dict, list, int]:
     cr_tol = args.tol if args.tol is not None else 1e-5
-    hc = _grid_certify(cfg, args, cr_tol)
+    hc = herglotz_certify(cfg.stack, cfg.kappa, cfg.grid, cfg.z0, cfg.z1,
+                          cr_tol=cr_tol, step=args.cr_step)
     results = {
         "grid": [complex(w) for w in hc.grid],
         "min_im_eig": hc.min_im_eig,
@@ -316,7 +307,8 @@ def _cmd_energy(cfg: RunConfig, args) -> tuple[dict, list, int]:
 
 def _cmd_sweep(cfg: RunConfig, args) -> tuple[dict, list, int]:
     cr_tol = args.tol if args.tol is not None else 1e-5
-    hc = _grid_certify(cfg, args, cr_tol)
+    hc = herglotz_certify(cfg.stack, cfg.kappa, cfg.grid, cfg.z0, cfg.z1,
+                          cr_tol=cr_tol, step=args.cr_step)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = write_sweep_csv(out / "sweep.csv", hc.points)
@@ -334,16 +326,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[dict, list, int]:
 def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list, int]:
     cr_tol = args.tol if args.tol is not None else 1e-5
     labels, phase_of_layer, Z = phase_tensors(cfg.stack, cfg.traj_omega)
-    P = len(labels)
-    thicknesses = [ly.thickness for ly in cfg.stack.layers]
-
-    def builder(tensors):
-        layer_tensors = [(thicknesses[j], tensors[phase_of_layer[j]],
-                          tensors[P + phase_of_layer[j]])
-                         for j in range(len(thicknesses))]
-        return dtn_from_tensors(layer_tensors, cfg.kappa, cfg.stack.c,
-                                cfg.stack.z_min)[0]
-
+    builder = partial(phase_dtn, cfg.stack, cfg.kappa, phase_of_layer)
     roundtrip = trajectory_roundtrip(cfg.traj_L0, Z)
     spec = trajectory_coeffs(cfg.traj_L0, Z)
     cert = herglotz_along_trajectory(builder, spec, cfg.f, cfg.grid,
@@ -398,8 +381,6 @@ def _build_parser() -> _Parser:
                        help="certification tolerance (CR residual or energy gap)")
         p.add_argument("--quad-points", type=int, default=2000, dest="quad_points",
                        help="quadrature point count for energy checks")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="process count for grid sweeps")
         p.add_argument("--cr-step", type=float, default=None, dest="cr_step",
                        help="CR stencil width (default: 1e-4 scaled by |omega|)")
     return parser
@@ -419,9 +400,6 @@ def main(argv=None) -> int:
         cfg = parse_run_config(doc, args.command)
         if args.quad_points < 1:
             print("dtnstack: --quad-points must be >= 1", file=sys.stderr)
-            return 1
-        if args.parallel < 1:
-            print("dtnstack: --parallel must be >= 1", file=sys.stderr)
             return 1
         results, anomalies, code = _COMMANDS[args.command](cfg, args)
     except (SingularMatrixError, NumericRangeError) as exc:

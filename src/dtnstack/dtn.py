@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, GeometryError
-from .herglotz import PassivityCertificate, material_response, passivity_check
+from .herglotz import PassivityCertificate, passivity_check
 from .linalg import (
     SINGULAR_CONDITION_LIMIT,
     condition_1norm,
@@ -31,16 +31,7 @@ from .linalg import (
     split_blocks,
 )
 from .stack import StackSpec
-from .transfer import (
-    J,
-    RHO,
-    TransferMatrix,
-    field_profile,
-    normal_components,
-    resolve_layers,
-    transfer,
-    transfer_from_tensors,
-)
+from .transfer import J, RHO, TransferMatrix, field_profile, propagate, resolve_stack
 
 __all__ = [
     "P_T",
@@ -57,6 +48,7 @@ __all__ = [
     "gamma",
     "lambda_map",
     "dtn",
+    "boundary_operators",
     "dtn_from_tensors",
     "apply_dtn",
     "energy_balance",
@@ -157,14 +149,13 @@ def check_well_defined(T, tol: float = 0.0) -> WellDefinedCertificate:
     F = flux_form(M)
     norm_T = float(np.linalg.norm(M, 2))
     resolution = float(np.finfo(float).eps) * max(norm_T, 1.0) ** 2
-    conds = [condition_1norm(B) for B in split_blocks(M)]
-    invertible = tuple(bool(np.isfinite(c) and c <= SINGULAR_CONDITION_LIMIT)
-                       for c in conds)
+    conds = condition_1norm(np.stack(split_blocks(M)))
+    invertible = tuple(bool(c <= SINGULAR_CONDITION_LIMIT) for c in conds)
     return WellDefinedCertificate(
         flux_positive=bool(F.min_eig > tol),
         flux_min_eig=F.min_eig,
         blocks_invertible=invertible,
-        condition_T12=conds[1],
+        condition_T12=float(conds[1]),
         transfer_norm=norm_T,
         flux_resolution=resolution,
     )
@@ -176,9 +167,14 @@ class GammaMatrix:
 
     matrix: np.ndarray
 
-    @property
-    def blocks(self):
-        return split_blocks(self.matrix)
+
+def _gamma_matrix(T: np.ndarray) -> np.ndarray:
+    """``Gamma`` of a transfer matrix or a batch (..., 4, 4) of them."""
+    T11, T12 = T[..., :2, :2], T[..., :2, 2:]
+    T21, T22 = T[..., 2:, :2], T[..., 2:, 2:]
+    inv_T12 = solve(T12, np.eye(2, dtype=complex))
+    return np.block([[T22 @ inv_T12, T21 - T22 @ inv_T12 @ T11],
+                     [inv_T12, -inv_T12 @ T11]])
 
 
 def gamma(T) -> GammaMatrix:
@@ -190,13 +186,7 @@ def gamma(T) -> GammaMatrix:
     inputs that contradicts flux positivity and is surfaced by
     :func:`dtn` as an anomaly, never silently.
     """
-    T11, T12, T21, T22 = split_blocks(_as_transfer_matrix(T))
-    inv_T12 = solve(T12, np.eye(2, dtype=complex))
-    G11 = T22 @ inv_T12
-    G12 = T21 - T22 @ inv_T12 @ T11
-    G21 = inv_T12
-    G22 = -inv_T12 @ T11
-    return GammaMatrix(np.block([[G11, G12], [G21, G22]]))
+    return GammaMatrix(_gamma_matrix(_as_transfer_matrix(T)))
 
 
 @dataclass(frozen=True)
@@ -224,19 +214,19 @@ class DtnMap:
         return self.matrix[np.ix_(TANGENTIAL_INDICES, TANGENTIAL_INDICES)].copy()
 
 
+def _lambda_matrix(G: np.ndarray) -> np.ndarray:
+    """6×6 boundary operators of a ``Gamma`` matrix or a batch of them."""
+    Pt, E = P_T, E3_CROSS
+    return np.block([[1j * Pt @ G[..., :2, :2] @ Pt.T @ E, -1j * Pt @ G[..., :2, 2:] @ Pt.T @ E],
+                     [1j * Pt @ G[..., 2:, :2] @ Pt.T @ E, -1j * Pt @ G[..., 2:, 2:] @ Pt.T @ E]])
+
+
 def lambda_map(G: GammaMatrix, z0: float = 0.0, z1: float = 1.0) -> DtnMap:
     """Assemble the 6×6 boundary operator from ``Gamma``.
 
     ``Lambda = i diag(P_T, P_T) Gamma diag(P_T^T, P_T^T) diag(e3×, -e3×)``.
     """
-    G11, G12, G21, G22 = G.blocks
-    Pt, E = P_T, E3_CROSS
-    L = np.zeros((6, 6), dtype=complex)
-    L[:3, :3] = 1j * Pt @ G11 @ Pt.T @ E
-    L[:3, 3:] = -1j * Pt @ G12 @ Pt.T @ E
-    L[3:, :3] = 1j * Pt @ G21 @ Pt.T @ E
-    L[3:, 3:] = -1j * Pt @ G22 @ Pt.T @ E
-    return DtnMap(float(z0), float(z1), L)
+    return DtnMap(float(z0), float(z1), _lambda_matrix(G.matrix))
 
 
 @dataclass(frozen=True)
@@ -256,10 +246,17 @@ class DtnCertificate:
                 and self.im_min_eig > 0.0 and not self.anomalies)
 
 
-def _certified_dtn(T: TransferMatrix, passivity: list[PassivityCertificate],
-                   z0: float, z1: float) -> tuple[DtnMap, DtnCertificate]:
+def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float,
+                   z0: float | None = None,
+                   z1: float | None = None) -> tuple[np.ndarray, DtnCertificate]:
+    """Boundary operators (n, 6, 6) of resolved stacks with tensors of shape
+    (n, L, 3, 3). All go through the ``T12`` singularity guard; entry 0 also
+    gets the passivity, well-posedness and positivity checks."""
+    pc = passivity_check(omega_eps[0], omega_mu[0])  # one eigvalsh over the layers
+    passivity = tuple(PassivityCertificate(*v) for v in zip(*(a.tolist() for a in pc)))
     passive = all(p.ok for p in passivity)
-    wd = check_well_defined(T)
+    T = propagate(thickness, omega_eps, omega_mu, kappa, c, z_min, z0, z1)
+    wd = check_well_defined(T[0])
     anomalies = []
     # margins are meaningless once |min eig| sinks below the rounding floor
     # of J - T*JT; keep the verdict fail-closed but diagnose it honestly
@@ -279,14 +276,14 @@ def _certified_dtn(T: TransferMatrix, passivity: list[PassivityCertificate],
         anomalies.append(
             f"transfer-matrix block numerically singular for passive input "
             f"(cond T12 {wd.condition_T12:.3e})")
-    L = lambda_map(gamma(T), z0, z1)
-    comp_im = hermitian_parts(L.tangential_compression).imag
+    L = _lambda_matrix(_gamma_matrix(T))
+    comp_im = hermitian_parts(L[0][np.ix_(TANGENTIAL_INDICES, TANGENTIAL_INDICES)]).imag
     im_min = float(np.linalg.eigvalsh(comp_im)[0])
     if passive and wd.flux_positive and im_min <= 0.0:
         anomalies.append(
             f"Im of the tangential compression not positive definite "
             f"(min eig {im_min:.3e})")
-    cert = DtnCertificate(tuple(passivity), passive, wd, im_min, tuple(anomalies))
+    cert = DtnCertificate(passivity, passive, wd, im_min, tuple(anomalies))
     return L, cert
 
 
@@ -296,6 +293,22 @@ def _validate_kappa_real(kappa) -> tuple[float, float]:
         raise DomainError(f"kappa must be real for boundary-operator "
                           f"certification, got {kappa}")
     return float(k[0].real), float(k[1].real)
+
+
+def boundary_operators(stack: StackSpec, kappa, omegas, z0: float,
+                       z1: float) -> tuple[np.ndarray, DtnCertificate]:
+    """Boundary operators of the slab ``[z0, z1]`` at frequencies ``omegas``
+    (all with ``Im omega > 0``) from one batched propagation: the matrices,
+    shape (n, 6, 6), and the certificate (see :func:`dtn`) of the first."""
+    w = np.asarray(omegas, dtype=complex).reshape(-1)
+    if np.any(w.imag <= 0.0):
+        raise DomainError(f"omega must satisfy Im omega > 0, got "
+                          f"{complex(w[w.imag <= 0.0][0])}")
+    k = _validate_kappa_real(kappa)
+    if not z0 < z1:
+        raise GeometryError(f"need z0 < z1, got z0={z0}, z1={z1}")
+    thickness, we, wm = resolve_stack(stack, w)
+    return _certified_dtn(thickness, we, wm, k, stack.c, stack.z_min, z0, z1)
 
 
 def dtn(stack: StackSpec, kappa, omega, z0: float, z1: float) -> tuple[DtnMap, DtnCertificate]:
@@ -319,16 +332,8 @@ def dtn(stack: StackSpec, kappa, omega, z0: float, z1: float) -> tuple[DtnMap, D
         ``Im`` of the tangential compression. Theorem-contradicting outcomes
         are reported in ``certificate.anomalies`` rather than raised.
     """
-    w = complex(omega)
-    if w.imag <= 0.0:
-        raise DomainError(f"omega must satisfy Im omega > 0, got {w}")
-    k = _validate_kappa_real(kappa)
-    if not z0 < z1:
-        raise GeometryError(f"need z0 < z1, got z0={z0}, z1={z1}")
-    passivity = [passivity_check(*material_response(ly.material, w))
-                 for ly in stack.layers]
-    T = transfer(stack, k, w, z0, z1)
-    return _certified_dtn(T, passivity, z0, z1)
+    L, cert = boundary_operators(stack, kappa, [complex(omega)], z0, z1)
+    return DtnMap(float(z0), float(z1), L[0]), cert
 
 
 def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0,
@@ -340,9 +345,9 @@ def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0,
     of coming from material models at a frequency.
     """
     k = _validate_kappa_real(kappa)
-    passivity = [passivity_check(we, wm) for _, we, wm in layer_tensors]
-    T = transfer_from_tensors(layer_tensors, k, c, z_min)
-    return _certified_dtn(T, passivity, T.z0, T.z1)
+    t, we, wm = zip(*layer_tensors)
+    L, cert = _certified_dtn(t, np.stack(we)[None], np.stack(wm)[None], k, c, z_min)
+    return DtnMap(float(z_min), float(np.cumsum((z_min,) + t)[-1]), L[0]), cert
 
 
 def apply_dtn(L: DtnMap, f_top, f_bottom) -> tuple[np.ndarray, np.ndarray]:
@@ -432,41 +437,30 @@ def energy_balance(stack: StackSpec, psi0, kappa, omega,
         raise DomainError(f"n_points must be >= 1, got {n_points}")
 
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
-    resolved = resolve_layers(stack, w)
+    _, we, wm = resolve_stack(stack, w)
     b = stack.boundaries
 
-    # overlap segments of [z0, z1] with each layer
-    seg_layers, seg_lo, seg_len = [], [], []
-    for j in range(len(stack.layers)):
-        lo, hi = max(z0, float(b[j])), min(z1, float(b[j + 1]))
-        if hi > lo:
-            seg_layers.append(j)
-            seg_lo.append(lo)
-            seg_len.append(hi - lo)
-    counts = _layer_point_counts(seg_len, int(n_points))
+    # overlap segments of [z0, z1] with each layer, split into equal cells
+    lo, hi = np.maximum(z0, b[:-1]), np.minimum(z1, b[1:])
+    seg = np.flatnonzero(hi > lo)
+    counts = np.array(_layer_point_counts(list(hi[seg] - lo[seg]), int(n_points)))
+    zlayer = np.repeat(seg, counts)
+    n = zlayer.size
+    h = np.repeat((hi[seg] - lo[seg]) / counts, counts)
+    cell = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    zs = np.repeat(lo[seg], counts) + (cell + 0.5) * h
 
-    zs, weights, zlayer = [], [], []
-    for j, lo, length, m in zip(seg_layers, seg_lo, seg_len, counts):
-        h = length / m
-        zs.extend(lo + (np.arange(m) + 0.5) * h)
-        weights.extend([h] * m)
-        zlayer.extend([j] * m)
+    # the two endpoints ride along for the boundary side
+    psi, phi = field_profile(stack, psi0, k, w, np.append(zs, [z0, z1]), z_ref=z0)
+    E = np.concatenate([psi[:n, :2], phi[:n, :1]], axis=1)
+    H = np.concatenate([psi[:n, 2:], phi[:n, 1:]], axis=1)
+    im_we, im_wm = hermitian_parts(we).imag[zlayer], hermitian_parts(wm).imag[zlayer]
+    dens = (np.einsum("ni,nij,nj->n", H.conj(), im_wm, H)
+            + np.einsum("ni,nij,nj->n", E.conj(), im_we, E)).real
+    absorbed = float(h @ dens) / (8.0 * np.pi)
 
-    psi, phi = field_profile(stack, psi0, k, w, np.array(zs), z_ref=z0)
-
-    im_we = [hermitian_parts(we).imag for _, we, _ in resolved]
-    im_wm = [hermitian_parts(wm).imag for _, _, wm in resolved]
-    absorbed = 0.0
-    for i, (hstep, j) in enumerate(zip(weights, zlayer)):
-        E = np.array([psi[i, 0], psi[i, 1], phi[i, 0]])
-        H = np.array([psi[i, 2], psi[i, 3], phi[i, 1]])
-        dens = (np.vdot(H, im_wm[j] @ H) + np.vdot(E, im_we[j] @ E)).real
-        absorbed += hstep * dens
-    absorbed /= 8.0 * np.pi
-
-    ends_psi, _ = field_profile(stack, psi0, k, w, np.array([z0, z1]), z_ref=z0)
-    flux = [float(np.vdot(p, J @ p).real) for p in ends_psi]
+    flux = [float(np.vdot(p, J @ p).real) for p in psi[n:]]
     boundary = (stack.c / (16.0 * np.pi)) * (flux[0] - flux[1])
 
     gap = abs(boundary - absorbed) / max(abs(boundary), abs(absorbed), _TINY)
-    return EnergyReport(boundary, absorbed, float(gap), int(sum(counts)))
+    return EnergyReport(boundary, absorbed, float(gap), n)

@@ -34,6 +34,7 @@ __all__ = [
     "MaterialSpec",
     "PassivityCertificate",
     "eval_herglotz",
+    "eval_response",
     "make_drude",
     "make_constant",
     "vacuum_material",
@@ -113,7 +114,7 @@ class HerglotzModel:
             if W.shape[0] else W
         object.__setattr__(self, "weights", W)
 
-    def _eval(self, z: complex) -> np.ndarray:
+    def _eval(self, z) -> np.ndarray:
         h = self.alpha * z + self.beta.astype(complex)
         for p, W in zip(self.poles, self.weights):
             h = h + W * (1.0 / (p - z) - p / (1.0 + p * p))
@@ -138,8 +139,8 @@ class DrudeModel:
         if int(self.dim) < 1:
             raise ParameterError(f"dim must be >= 1, got {self.dim}")
 
-    def _eval(self, z: complex) -> np.ndarray:
-        wp2 = self.plasma_freq ** 2
+    def _eval(self, z) -> np.ndarray:
+        wp2 = np.square(np.float64(self.plasma_freq))
         val = z - wp2 / (z + 1j * self.collision_rate)
         return val * np.eye(self.dim, dtype=complex)
 
@@ -164,36 +165,50 @@ class ConstantModel:
     def dim(self) -> int:
         return self.value.shape[0]
 
-    def _eval(self, z: complex) -> np.ndarray:
+    def _eval(self, z) -> np.ndarray:
         return z * self.value
 
 
 ResponseModel = Union[HerglotzModel, DrudeModel, ConstantModel]
 
 
+def eval_response(model: ResponseModel, z) -> np.ndarray:
+    """Response values, shape ``z.shape + (dim, dim)``, wherever they are
+    finite (no half-plane gate: propagation is defined on the real axis away
+    from poles). Raises :class:`DomainError` on an overflow or a pole."""
+    with np.errstate(all="ignore"):
+        val = model._eval(np.asarray(z, dtype=complex)[..., np.newaxis, np.newaxis])
+    finite = np.isfinite(val.view(float)).all(axis=(-2, -1))
+    if not np.all(finite):
+        bad = np.broadcast_to(np.asarray(z, dtype=complex), finite.shape)[~finite]
+        raise DomainError(f"model response is not finite at z={bad.flat[0]}")
+    return val
+
+
 def eval_herglotz(model: ResponseModel, z) -> np.ndarray:
-    """Evaluate a response model at a point of the open upper half-plane.
+    """Evaluate a response model in the open upper half-plane.
 
     Parameters
     ----------
     model : HerglotzModel or DrudeModel or ConstantModel
-    z : complex
-        Evaluation point with ``Im z > 0``.
+    z : complex or array of complex
+        Evaluation point(s) with ``Im z > 0``.
 
     Returns
     -------
     numpy.ndarray
-        The (dim, dim) response value.
+        The response value(s), shape ``z.shape + (dim, dim)``.
 
     Raises
     ------
     DomainError
-        If ``Im z <= 0``.
+        If ``Im z <= 0`` or the response is not finite.
     """
-    zc = complex(z)
-    if zc.imag <= 0.0:
-        raise DomainError(f"evaluation point must satisfy Im z > 0, got z={zc}")
-    return model._eval(zc)
+    zc = np.asarray(z, dtype=complex)
+    if np.any(zc.imag <= 0.0):
+        raise DomainError(f"evaluation point must satisfy Im z > 0, got "
+                          f"z={zc[zc.imag <= 0.0].flat[0]}")
+    return eval_response(model, zc)
 
 
 def make_drude(plasma_freq: float, collision_rate: float, dim: int = 1) -> DrudeModel:
@@ -246,16 +261,21 @@ def passivity_check(omega_eps, omega_mu, tol: float = 0.0) -> PassivityCertifica
     Parameters
     ----------
     omega_eps, omega_mu : array_like
-        Response tensors at one frequency, shape (3, 3).
+        Response tensors at one frequency, shape (3, 3), or batches of them
+        with matching leading axes (e.g. one per layer).
     tol : float
         Positivity margin both smallest eigenvalues must exceed.
 
     Returns
     -------
     PassivityCertificate
+        Python scalars for one pair, arrays over the leading axes for a batch.
     """
-    im_e = hermitian_parts(as_cmatrix(omega_eps, "omega_eps", shape=(3, 3))).imag
-    im_m = hermitian_parts(as_cmatrix(omega_mu, "omega_mu", shape=(3, 3))).imag
-    min_e = float(np.linalg.eigvalsh(im_e)[0])
-    min_m = float(np.linalg.eigvalsh(im_m)[0])
-    return PassivityCertificate(bool(min_e > tol and min_m > tol), min_e, min_m)
+    we = as_cmatrix(omega_eps, "omega_eps", shape=(3, 3), batch=True)
+    wm = as_cmatrix(omega_mu, "omega_mu", shape=(3, 3), batch=True)
+    im = hermitian_parts(np.stack([we, wm])).imag
+    min_e, min_m = np.linalg.eigvalsh(im)[..., 0]
+    ok = (min_e > tol) & (min_m > tol)
+    if ok.ndim == 0:
+        return PassivityCertificate(bool(ok), float(min_e), float(min_m))
+    return PassivityCertificate(ok, min_e, min_m)

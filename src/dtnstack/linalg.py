@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     ContractError,
@@ -58,8 +57,8 @@ class PosDefCheck(NamedTuple):
 
 
 def as_cmatrix(M, name: str = "matrix", shape: tuple | None = None,
-               square: bool = False) -> np.ndarray:
-    """Coerce ``M`` to a 2-D complex128 array and validate its shape.
+               square: bool = False, batch: bool = False) -> np.ndarray:
+    """Coerce ``M`` to a complex128 matrix (or batch of them) and validate it.
 
     Parameters
     ----------
@@ -68,21 +67,23 @@ def as_cmatrix(M, name: str = "matrix", shape: tuple | None = None,
     name : str
         Name used in error messages.
     shape : tuple, optional
-        Exact shape to require.
+        Exact matrix shape to require.
     square : bool
-        Require a square matrix.
+        Require square matrices.
+    batch : bool
+        Accept leading batch axes; ``shape``/``square`` apply to the last two.
 
     Returns
     -------
     numpy.ndarray
-        The validated complex matrix (a copy only when coercion needs one).
+        The validated complex array (a copy only when coercion needs one).
     """
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={A.ndim}")
-    if shape is not None and A.shape != tuple(shape):
+    if A.ndim != 2 and not (batch and A.ndim > 2):
+        raise DimensionError(f"{name} must be 2-D or a batch, got ndim={A.ndim}")
+    if shape is not None and A.shape[-2:] != tuple(shape):
         raise DimensionError(f"{name} must have shape {tuple(shape)}, got {A.shape}")
-    if square and A.shape[0] != A.shape[1]:
+    if square and A.shape[-2] != A.shape[-1]:
         raise DimensionError(f"{name} must be square, got {A.shape}")
     if not np.all(np.isfinite(A.view(float))):
         raise NumericRangeError(f"{name} contains non-finite entries")
@@ -93,10 +94,10 @@ def hermitian_parts(M) -> HermitianPair:
     """Split ``M`` into its matrix real and imaginary parts.
 
     ``Re M = (M + M*)/2`` and ``Im M = (M - M*)/(2i)`` are both Hermitian and
-    satisfy ``M = Re M + i·Im M``.
+    satisfy ``M = Re M + i·Im M`` (batched over leading axes).
     """
-    A = as_cmatrix(M, "M", square=True)
-    Ah = A.conj().T
+    A = as_cmatrix(M, "M", square=True, batch=True)
+    Ah = np.swapaxes(A, -1, -2).conj()
     return HermitianPair((A + Ah) / 2.0, (A - Ah) / 2.0j)
 
 
@@ -132,45 +133,69 @@ def is_positive_definite(H, tol: float | None = None) -> PosDefCheck:
     return PosDefCheck(bool(min_eig > tol), min_eig)
 
 
-def mat_exp(M) -> np.ndarray:
-    """Matrix exponential of a square complex matrix.
+#: Padé-13 coefficients, and the largest 1-norm at which the unscaled
+#: approximant is accurate to double precision (Higham 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
-    Uses scaling-and-squaring with a Padé core (scipy's ``expm``). Relative
-    accuracy is ~1e-13 for the well-scaled inputs this package produces
-    (norms up to ~50).
+
+def mat_exp(M) -> np.ndarray:
+    """Matrix exponential of a square complex matrix or a batch of them.
+
+    Scaling and squaring with a degree-13 Padé approximant (N. J. Higham,
+    SIAM J. Matrix Anal. Appl. 26:1179, 2005), vectorised over leading batch
+    axes with a power-of-two scaling per matrix, so a matrix gets the same
+    result in any batch. Relative accuracy is about 1e-14 for 1-norms up to
+    ~100. Raises :class:`NumericRangeError` if any result overflows.
     """
-    A = as_cmatrix(M, "M", square=True)
-    E = scipy.linalg.expm(A)
+    A = as_cmatrix(M, "M", square=True, batch=True)
+    b = _PADE13
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    A = A * np.exp2(-s)[..., None, None]
+    eye = np.eye(A.shape[-1], dtype=complex)
+    with np.errstate(all="ignore"):
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+        E = np.linalg.solve(V - U, V + U)
+        for k in range(int(s.max(initial=0))):
+            E = np.where((s > k)[..., None, None], E @ E, E)
     if not np.all(np.isfinite(E.view(float))):
-        raise NumericRangeError(
-            f"mat_exp overflowed (input norm {np.linalg.norm(A, 1):.3e})"
-        )
+        raise NumericRangeError(f"mat_exp overflowed (input norm {np.max(norm):.3e})")
     return E
 
 
-def condition_1norm(A) -> float:
-    """1-norm condition number of ``A`` (``inf`` for singular input)."""
-    A = as_cmatrix(A, "A", square=True)
-    try:
-        c = abs(np.linalg.cond(A, 1))  # numpy returns complex dtype for complex A
-    except np.linalg.LinAlgError:
-        return float("inf")
-    return float(c) if np.isfinite(c) else float("inf")
+def condition_1norm(A):
+    """1-norm condition number of ``A``, or an array for a batch (``inf`` if singular)."""
+    A = as_cmatrix(A, "A", square=True, batch=True)
+    c = np.abs(np.linalg.cond(A, 1))  # numpy returns complex dtype for complex A
+    c = np.where(np.isfinite(c), c, np.inf)
+    return float(c) if c.ndim == 0 else c
 
 
 def solve(A, B) -> np.ndarray:
     """Solve ``A X = B`` for square ``A`` with a singularity guard.
 
+    ``A`` may carry leading batch axes; ``B`` broadcasts against it.
+
     Raises
     ------
     SingularMatrixError
-        If ``A`` is singular or its 1-norm condition number exceeds ``1e12``.
-        The error carries the condition estimate.
+        If any ``A`` is singular or its 1-norm condition number exceeds
+        ``1e12``. The error carries the worst condition estimate.
     """
-    A = as_cmatrix(A, "A", square=True)
+    A = as_cmatrix(A, "A", square=True, batch=True)
     Barr = np.asarray(B, dtype=complex)
-    cond = condition_1norm(A)
-    if not np.isfinite(cond) or cond > SINGULAR_CONDITION_LIMIT:
+    cond = float(np.max(condition_1norm(A)))
+    if not cond <= SINGULAR_CONDITION_LIMIT:
         raise SingularMatrixError(
             f"matrix is singular to working precision (cond_1 ~ {cond:.3e})",
             condition=cond,

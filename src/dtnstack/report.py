@@ -13,7 +13,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .exceptions import ParameterError
 
@@ -107,8 +106,7 @@ def dumps_deterministic(obj, indent: int = 2) -> str:
 
 
 def versions() -> dict:
-    return {"artifact": PACKAGE_VERSION, "numpy": np.__version__,
-            "scipy": scipy.__version__}
+    return {"artifact": PACKAGE_VERSION, "numpy": np.__version__}
 
 
 def make_report_body(command: str, config_echo, results, anomalies) -> dict:

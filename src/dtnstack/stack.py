@@ -101,11 +101,12 @@ def make_sandwich(d: float, d2: float, outer: MaterialSpec, core: MaterialSpec,
         Layer(d - d2, outer), Layer(2.0 * d2, core), Layer(d - d2, outer)))
 
 
-def locate(stack: StackSpec, z: float) -> tuple[int, float]:
+def locate(stack: StackSpec, z):
     """Find the layer containing ``z`` and the offset from its left face.
 
     Interface points belong to the layer on their left, except ``z_min``
-    which belongs to layer 0.
+    which belongs to layer 0. An array of coordinates gives arrays of
+    layer indices and offsets.
 
     Raises
     ------
@@ -113,11 +114,11 @@ def locate(stack: StackSpec, z: float) -> tuple[int, float]:
         If ``z`` lies outside ``[z_min, z_max]``.
     """
     b = stack.boundaries
-    if z < b[0] or z > b[-1]:
+    zs = np.asarray(z, dtype=float)
+    if not np.all((zs >= b[0]) & (zs <= b[-1])):
         raise GeometryError(f"z={z} outside the stack [{b[0]}, {b[-1]}]")
-    idx = int(np.searchsorted(b, z, side="left")) - 1
-    idx = min(max(idx, 0), len(stack.layers) - 1)
-    return idx, float(z - b[idx])
+    idx = np.clip(np.searchsorted(b, zs, side="left") - 1, 0, len(stack.layers) - 1)
+    return (int(idx), float(zs - b[idx])) if zs.ndim == 0 else (idx, zs - b[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainError, GeometryError, NumericRangeError, SingularMatrixError
-from .herglotz import MaterialSpec, ResponseModel
+from .exceptions import GeometryError, NumericRangeError, SingularMatrixError
+from .herglotz import eval_response
 from .linalg import as_cmatrix, mat_exp, solve, split_blocks
 from .stack import StackSpec, locate
 
@@ -23,11 +23,12 @@ __all__ = [
     "RHO",
     "J",
     "TransferMatrix",
-    "eval_response",
+    "resolve_stack",
     "resolve_layers",
     "build_A",
     "normal_components",
     "layer_propagator",
+    "propagate",
     "transfer",
     "transfer_from_tensors",
     "field_profile",
@@ -39,60 +40,50 @@ RHO = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 #: 4×4 flux matrix [[0, RHO], [RHO*, 0]]; Hermitian, J @ J = I
 J = np.block([[np.zeros((2, 2)), RHO], [RHO.conj().T, np.zeros((2, 2))]]).astype(complex)
 
+#: most sample offsets exponentiated per call: bounds the temporaries of
+#: :func:`field_profile` (about 4 KB per offset) whatever the sample count
+FIELD_BATCH = 4096
 
-def eval_response(model: ResponseModel, z) -> np.ndarray:
-    """Evaluate a response model anywhere its formula is finite.
 
-    Unlike the certification-facing evaluator (which insists on ``Im z > 0``),
-    propagation is defined for any frequency where the layer responses exist,
-    e.g. on the real axis away from poles.
-    """
-    val = model._eval(complex(z))
-    if not np.all(np.isfinite(val.view(float))):
-        raise DomainError(f"model response is not finite at z={complex(z)}")
-    return val
+def resolve_stack(stack: StackSpec, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thicknesses (L,) and ``omega*eps``, ``omega*mu`` of shape
+    ``omega.shape + (L, 3, 3)`` at one frequency or an array of them."""
+    w = np.asarray(omega, dtype=complex)
+    thickness = np.array([ly.thickness for ly in stack.layers])
+    we = np.stack([eval_response(ly.material.eps_model, w) for ly in stack.layers], axis=-3)
+    wm = np.stack([eval_response(ly.material.mu_model, w) for ly in stack.layers], axis=-3)
+    return thickness, we, wm
 
 
 def resolve_layers(stack: StackSpec, omega) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Evaluate every layer's ``(thickness, omega*eps, omega*mu)`` at ``omega``."""
-    out = []
-    for ly in stack.layers:
-        we = eval_response(ly.material.eps_model, omega)
-        wm = eval_response(ly.material.mu_model, omega)
-        out.append((ly.thickness, we, wm))
-    return out
+    """Every layer's ``(thickness, omega*eps, omega*mu)`` at one frequency."""
+    return [(float(t), e, m) for t, e, m in zip(*resolve_stack(stack, complex(omega)))]
 
 
 def _v_blocks(omega_eps: np.ndarray, omega_mu: np.ndarray, kappa, c: float):
-    """The four blocks of the first-order system, eliminated form inputs."""
+    """The blocks of the first-order system, batched over leading axes."""
     k1, k2 = complex(kappa[0]), complex(kappa[1])
-    we, wm = omega_eps, omega_mu
-    Vpp = np.zeros((4, 4), dtype=complex)
-    Vpp[:2, :2] = we[:2, :2] / c
-    Vpp[2:, 2:] = wm[:2, :2] / c
+    we, wm = omega_eps / c, omega_mu / c
+    batch = we.shape[:-2]
+    Vpp = np.zeros(batch + (4, 4), dtype=complex)
+    Vpp[..., :2, :2] = we[..., :2, :2]
+    Vpp[..., 2:, 2:] = wm[..., :2, :2]
 
-    Vpo = np.zeros((4, 2), dtype=complex)
-    Vpo[0, 0] = we[0, 2] / c
-    Vpo[1, 0] = we[1, 2] / c
-    Vpo[2, 1] = wm[0, 2] / c
-    Vpo[3, 1] = wm[1, 2] / c
+    Vpo = np.zeros(batch + (4, 2), dtype=complex)
+    Vpo[..., :2, 0] = we[..., :2, 2]
+    Vpo[..., 2:, 1] = wm[..., :2, 2]
     Vpo += np.array([[0.0, k2], [0.0, -k1], [-k2, 0.0], [k1, 0.0]])
 
-    Vop = np.zeros((2, 4), dtype=complex)
-    Vop[0, 0] = we[2, 0] / c
-    Vop[0, 1] = we[2, 1] / c
-    Vop[1, 2] = wm[2, 0] / c
-    Vop[1, 3] = wm[2, 1] / c
+    Vop = np.zeros(batch + (2, 4), dtype=complex)
+    Vop[..., 0, :2] = we[..., 2, :2]
+    Vop[..., 1, 2:] = wm[..., 2, :2]
     Vop += np.array([[0.0, 0.0, -k2, k1], [k2, -k1, 0.0, 0.0]])
 
-    voo = np.array([we[2, 2] / c, wm[2, 2] / c])  # diagonal of the normal block
-    return Vpp, Vpo, Vop, voo
-
-
-def _check_normal_block(voo: np.ndarray):
-    if np.min(np.abs(voo)) == 0.0:
+    voo = np.stack([we[..., 2, 2], wm[..., 2, 2]], axis=-1)  # diagonal of the normal block
+    if np.min(np.abs(voo), initial=np.inf) == 0.0:
         raise SingularMatrixError(
             "normal response block is singular (omega*eps_33 or omega*mu_33 vanishes)")
+    return Vpp, Vpo, Vop, voo
 
 
 def build_A(omega_eps, omega_mu, kappa, c: float = 1.0) -> np.ndarray:
@@ -101,7 +92,8 @@ def build_A(omega_eps, omega_mu, kappa, c: float = 1.0) -> np.ndarray:
     Parameters
     ----------
     omega_eps, omega_mu : array_like
-        Response tensors ``omega*eps(omega)`` and ``omega*mu(omega)``, 3×3.
+        Response tensors ``omega*eps(omega)`` and ``omega*mu(omega)``, 3×3,
+        optionally with matching leading batch axes.
     kappa : sequence of two scalars
         In-plane wavevector; complex values are accepted.
     c : float
@@ -110,34 +102,68 @@ def build_A(omega_eps, omega_mu, kappa, c: float = 1.0) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        The 4×4 matrix ``A = Vpp - Vpo Voo^{-1} Vop`` after eliminating the
+        The 4×4 matrices ``A = Vpp - Vpo Voo^{-1} Vop`` after eliminating the
         normal field components.
     """
-    we = as_cmatrix(omega_eps, "omega_eps", shape=(3, 3))
-    wm = as_cmatrix(omega_mu, "omega_mu", shape=(3, 3))
+    we = as_cmatrix(omega_eps, "omega_eps", shape=(3, 3), batch=True)
+    wm = as_cmatrix(omega_mu, "omega_mu", shape=(3, 3), batch=True)
     Vpp, Vpo, Vop, voo = _v_blocks(we, wm, kappa, float(c))
-    _check_normal_block(voo)
-    return Vpp - (Vpo / voo[np.newaxis, :]) @ Vop
+    return Vpp - (Vpo / voo[..., np.newaxis, :]) @ Vop
 
 
 def normal_components(omega_eps, omega_mu, kappa, psi, c: float = 1.0) -> np.ndarray:
     """Normal components ``phi = (E3, H3)`` induced by tangential data ``psi``.
 
     ``phi = -Voo^{-1} Vop psi`` with the same block conventions as
-    :func:`build_A`.
+    :func:`build_A`; ``psi`` may carry leading batch axes, shape (..., 4).
     """
     we = as_cmatrix(omega_eps, "omega_eps", shape=(3, 3))
     wm = as_cmatrix(omega_mu, "omega_mu", shape=(3, 3))
-    psi = np.asarray(psi, dtype=complex).reshape(4)
+    psi = np.asarray(psi, dtype=complex)
     _, _, Vop, voo = _v_blocks(we, wm, kappa, float(c))
-    _check_normal_block(voo)
-    return -(Vop @ psi) / voo
+    return -(psi @ Vop.T) / voo
 
 
-def layer_propagator(A, dz: float) -> np.ndarray:
-    """Propagator ``exp(i J A dz)`` across a homogeneous slab of width ``dz``."""
-    A = as_cmatrix(A, "A", shape=(4, 4))
-    return mat_exp(1j * (J @ A) * float(dz))
+def layer_propagator(A, dz) -> np.ndarray:
+    """Propagators ``exp(i J A dz)`` across homogeneous slabs of width ``dz``,
+    in one :func:`mat_exp` call; ``dz`` broadcasts against A's batch axes."""
+    A = as_cmatrix(A, "A", shape=(4, 4), batch=True)
+    dz = np.asarray(dz, dtype=float)[..., np.newaxis, np.newaxis]
+    return mat_exp(1j * (J @ A) * dz)
+
+
+def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
+              z_min: float = 0.0, z0: float | None = None,
+              z1: float | None = None) -> np.ndarray:
+    """Transfer matrices ``T(z0, z1)`` of resolved stacks, shape (..., 4, 4).
+
+    ``thickness`` has shape (L,) and the tensors (..., L, 3, 3), one stack
+    per leading index; ``z_min`` is the bottom face and ``[z0, z1]``
+    defaults to the whole stack. The layers overlapping it, clipped to it,
+    go through one :func:`mat_exp` call and multiply in layer order.
+    """
+    t = np.asarray(thickness, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(t) & (t > 0)):
+        raise GeometryError(f"layer thicknesses must be > 0, got {t}")
+    we, wm = np.asarray(omega_eps, dtype=complex), np.asarray(omega_mu, dtype=complex)
+    if z0 is None and z1 is None:
+        widths = t
+    else:
+        b = float(z_min) + np.concatenate(([0.0], np.cumsum(t)))
+        for z in (z0, z1):
+            if not b[0] <= z <= b[-1]:
+                raise GeometryError(f"z={z} outside the stack [{b[0]}, {b[-1]}]")
+        widths = np.minimum(z1, b[:-1] + t) - np.maximum(z0, b[:-1])
+    keep = np.flatnonzero(widths > 0)
+    T = np.broadcast_to(np.eye(4, dtype=complex), we.shape[:-3] + (4, 4)).copy()
+    if keep.size:
+        A = build_A(we[..., keep, :, :], wm[..., keep, :, :], kappa, c)
+        P = layer_propagator(A, widths[keep])
+        for k in range(keep.size):
+            T = P[..., k, :, :] @ T
+    if not np.all(np.isfinite(T.view(float))):
+        raise NumericRangeError("transfer matrix overflowed")
+    return T
 
 
 @dataclass(frozen=True)
@@ -154,26 +180,6 @@ class TransferMatrix:
         return split_blocks(self.matrix)
 
 
-def _segment_table(stack: StackSpec, omega, kappa) -> list[tuple[float, float, np.ndarray]]:
-    """Per-layer ``(z_left, thickness, A)`` table at fixed frequency."""
-    b = stack.boundaries
-    table = []
-    for j, (t, we, wm) in enumerate(resolve_layers(stack, omega)):
-        table.append((float(b[j]), t, build_A(we, wm, kappa, stack.c)))
-    return table
-
-
-def _ordered_product(table, a: float, z: float) -> np.ndarray:
-    """``T(a, z)`` for ``a <= z`` as the left-ordered propagator product."""
-    T = np.eye(4, dtype=complex)
-    for z_left, t, A in table:
-        z_right = z_left + t
-        lo, hi = max(a, z_left), min(z, z_right)
-        if hi > lo:
-            T = layer_propagator(A, hi - lo) @ T
-    return T
-
-
 def transfer(stack: StackSpec, kappa, omega, z0: float, z1: float) -> TransferMatrix:
     """Transfer matrix of the stack between two coordinates.
 
@@ -182,17 +188,11 @@ def transfer(stack: StackSpec, kappa, omega, z0: float, z1: float) -> TransferMa
     Both real and complex ``omega``/``kappa`` are accepted; certification
     pipelines impose their stricter domains separately.
     """
-    for name, z in (("z0", z0), ("z1", z1)):
-        if not (stack.z_min <= z <= stack.z_max):
-            raise GeometryError(
-                f"{name}={z} outside the stack [{stack.z_min}, {stack.z_max}]")
-    table = _segment_table(stack, omega, kappa)
     a, b = (z0, z1) if z0 <= z1 else (z1, z0)
-    T = _ordered_product(table, a, b)
+    T = propagate(*resolve_stack(stack, complex(omega)), kappa, stack.c,
+                  stack.z_min, a, b)
     if z0 > z1:
         T = solve(T, np.eye(4, dtype=complex))
-    if not np.all(np.isfinite(T.view(float))):
-        raise NumericRangeError("transfer matrix overflowed")
     return TransferMatrix(float(z0), float(z1), T)
 
 
@@ -214,15 +214,9 @@ def transfer_from_tensors(layer_tensors, kappa, c: float = 1.0,
     TransferMatrix
         ``T(z_min, z_max)`` across the whole resolved stack.
     """
-    T = np.eye(4, dtype=complex)
-    z = float(z_min)
-    for t, we, wm in layer_tensors:
-        if t <= 0:
-            raise GeometryError(f"layer thickness must be > 0, got {t}")
-        A = build_A(we, wm, kappa, c)
-        T = layer_propagator(A, t) @ T
-        z += float(t)
-    return TransferMatrix(float(z_min), z, T)
+    t, we, wm = zip(*layer_tensors)
+    T = propagate(t, np.stack(we), np.stack(wm), kappa, c)
+    return TransferMatrix(float(z_min), float(np.cumsum((z_min,) + t)[-1]), T)
 
 
 def field_profile(stack: StackSpec, psi0, kappa, omega, zs,
@@ -250,32 +244,29 @@ def field_profile(stack: StackSpec, psi0, kappa, omega, zs,
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
     z_ref = stack.z_min if z_ref is None else float(z_ref)
-    if not (stack.z_min <= z_ref <= stack.z_max):
-        raise GeometryError(f"z_ref={z_ref} outside the stack")
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
+    j_ref, d_ref = locate(stack, z_ref)
+    layer_of, offset = locate(stack, np.atleast_1d(np.asarray(zs, dtype=float)))
 
-    resolved = resolve_layers(stack, omega)
-    table = _segment_table(stack, omega, kappa)
-    b = stack.boundaries
+    t, we, wm = resolve_stack(stack, complex(omega))
+    A = build_A(we, wm, kappa, stack.c)
+    # field at every layer's left face: whole-layer steps away from the layer
+    # holding z_ref (backwards below it), plus the step from z_ref to its face
+    n = t.size
+    steps = layer_propagator(np.concatenate([A, A[j_ref:j_ref + 1]]),
+                             np.concatenate([np.where(np.arange(n) < j_ref, -t, t),
+                                             [-d_ref]]))
+    left = np.empty((n, 4), dtype=complex)
+    left[j_ref] = steps[n] @ psi0
+    for j in range(j_ref, n - 1):
+        left[j + 1] = steps[j] @ left[j]
+    for j in range(j_ref - 1, -1, -1):
+        left[j] = steps[j] @ left[j + 1]
 
-    # prefix transfer matrices from z_ref to each layer's left face
-    prefixes: list[np.ndarray] = []
-    for j in range(len(stack.layers)):
-        zl = float(b[j])
-        if zl >= z_ref:
-            G = _ordered_product(table, z_ref, zl)
-        else:
-            G = solve(_ordered_product(table, zl, z_ref), np.eye(4, dtype=complex))
-        prefixes.append(G)
-
-    psi_out = np.zeros((zs.size, 4), dtype=complex)
-    phi_out = np.zeros((zs.size, 2), dtype=complex)
-    for i, z in enumerate(zs):
-        j, offset = locate(stack, float(z))
-        _, _, A = table[j]
-        Tz = layer_propagator(A, offset) @ prefixes[j]
-        psi = Tz @ psi0
-        _, we, wm = resolved[j]
-        psi_out[i] = psi
-        phi_out[i] = normal_components(we, wm, kappa, psi, stack.c)
+    psi_out = np.zeros((layer_of.size, 4), dtype=complex)
+    phi_out = np.zeros((layer_of.size, 2), dtype=complex)
+    for j in np.unique(layer_of):
+        rows = np.flatnonzero(layer_of == j)
+        for part in np.array_split(rows, -(-rows.size // FIELD_BATCH)):
+            psi_out[part] = layer_propagator(A[j], offset[part]) @ left[j]
+            phi_out[part] = normal_components(we[j], wm[j], kappa, psi_out[part], stack.c)
     return psi_out, phi_out

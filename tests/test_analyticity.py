@@ -169,17 +169,6 @@ def test_herglotz_certify_flags_gain():
     assert cert.min_im_eig < 0
 
 
-def test_herglotz_certify_custom_map_matches_serial(rng):
-    s = rand_stack(rng, max_layers=2)
-    grid = omega_grid_points(0.0, 1.0, 2, 0.5, 1.0, 2)
-    kap = rand_kappa(rng)
-    a = herglotz_certify(s, kap, grid, s.z_min, s.z_max)
-    b = herglotz_certify(s, kap, grid, s.z_min, s.z_max, map_fn=map)
-    assert a.min_im_eig == b.min_im_eig
-    assert a.worst_cr == b.worst_cr
-    assert a.passed == b.passed
-
-
 # -------------------------------------------------------------- tensor slices
 
 def _two_phase_stack(rng):

@@ -81,6 +81,33 @@ def test_mat_exp_overflow_raises():
         mat_exp(np.diag([1e6, 1e6]).astype(complex))
 
 
+def test_mat_exp_matches_high_precision_oracle():
+    # 50-digit scaling-and-squaring Taylor exponential of the same double
+    # inputs, so the comparison sees only the Padé route's own error.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5838)
+    worst = 0.0
+    for norm1 in np.logspace(-3, 2, 60):
+        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        M *= norm1 / np.abs(M).sum(axis=0).max()
+        with mpmath.workdps(50):
+            ref = np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(), dtype=complex)
+        worst = max(worst, np.linalg.norm(mat_exp(M) - ref) / np.linalg.norm(ref))
+    assert worst <= 1e-13
+
+
+def test_mat_exp_batch_matches_single_calls(rng):
+    # each matrix is scaled by its own power of two, whatever its neighbours
+    B = rng.standard_normal((3, 5, 4, 4)) + 1j * rng.standard_normal((3, 5, 4, 4))
+    B *= np.logspace(-3, 2, 15).reshape(3, 5, 1, 1)
+    E = mat_exp(B)
+    assert E.shape == B.shape
+    for i in range(3):
+        for j in range(5):
+            single = mat_exp(B[i, j])
+            assert np.linalg.norm(E[i, j] - single) <= 1e-14 * np.linalg.norm(single)
+
+
 def test_solve_matches_numpy(rng):
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     b = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -45,7 +45,7 @@ def test_dumps_is_reproducible():
 
 def test_versions_fields():
     v = versions()
-    assert set(v) == {"artifact", "numpy", "scipy"}
+    assert set(v) == {"artifact", "numpy"}
 
 
 def test_make_report_body_fixed_fields():

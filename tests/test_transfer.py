@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from dtnstack import (
 )
 from dtnstack.transfer import J, resolve_layers
 from generators import (
+    rand_constant_material,
     rand_kappa,
     rand_omega,
     rand_posdef,
@@ -193,6 +196,27 @@ def test_field_profile_continuity_and_endpoints(rng):
     T = transfer(s, kap, om, s.z_min, s.z_max).matrix
     assert np.allclose(psi[1], T @ psi0, rtol=1e-12, atol=1e-13)
     assert phi.shape == (2, 2)
+
+
+def test_field_profile_matches_transfer_both_directions(rng, monkeypatch):
+    # anchored mid-stack, samples below z_ref propagate backwards; the
+    # exponential batches may be split without changing the field
+    transfer_module = importlib.import_module("dtnstack.transfer")
+    layers = tuple(Layer(float(rng.uniform(0.2, 0.8)), rand_constant_material(rng, f"m{k}"))
+                   for k in range(3))
+    s = StackSpec(z_min=-0.4, layers=layers)
+    kap, om = rand_kappa(rng), rand_omega(rng)
+    psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    z_ref = s.z_min + 0.5 * (s.z_max - s.z_min)
+    zs = np.linspace(s.z_min, s.z_max, 41)
+    psi, phi = field_profile(s, psi0, kap, om, zs, z_ref=z_ref)
+    for z, p in zip(zs, psi):
+        expected = transfer(s, kap, om, z_ref, z).matrix @ psi0
+        assert np.allclose(p, expected, rtol=1e-10, atol=1e-12)
+    monkeypatch.setattr(transfer_module, "FIELD_BATCH", 4)
+    psi_split, phi_split = field_profile(s, psi0, kap, om, zs, z_ref=z_ref)
+    np.testing.assert_allclose(psi_split, psi, rtol=1e-14)
+    np.testing.assert_allclose(phi_split, phi, rtol=1e-14)
 
 
 def test_field_profile_normal_components_consistent(rng):
