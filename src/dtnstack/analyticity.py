@@ -92,12 +92,14 @@ def cauchy_residual(fn: Callable[[complex], complex], z0, radius: float,
     return float(abs(center - ring) / max(abs(center), 1.0))
 
 
-def scalar_sample(L: DtnMap, f) -> complex:
+def scalar_sample(L: DtnMap, f):
     """Quadratic boundary sample ``(Lambda f, f)`` for tangential ``f``.
 
     Uses the standard inner product (conjugation on the second argument), so
     the value is ``conj(f)·(Lambda f)`` and its imaginary part equals the
     quadratic form of ``Im Lambda`` at ``f`` — positive for passive media.
+    A complex number for one map; an array of the batch shape for a batched
+    map (see :class:`DtnMap`).
     """
     fv = np.asarray(f, dtype=complex).reshape(6)
     norm = float(np.linalg.norm(fv))
@@ -106,7 +108,8 @@ def scalar_sample(L: DtnMap, f) -> complex:
     if max(abs(fv[2]), abs(fv[5])) > 1e-13 * norm:
         raise ParameterError("sample vector must be tangential "
                              "(components 3 and 6 zero)")
-    return complex(np.vdot(fv, L.matrix @ fv))
+    v = (L.matrix @ fv) @ fv.conj()
+    return complex(v) if v.ndim == 0 else v
 
 
 def omega_grid_points(re_min: float, re_max: float, re_steps: int,
@@ -230,7 +233,10 @@ def phase_tensors(stack: StackSpec, omega) -> tuple[list[str], list[int], list[n
 def phase_dtn(stack: StackSpec, kappa, phase_of_layer: Sequence[int],
               Z: Sequence[np.ndarray]) -> DtnMap:
     """Boundary operator of ``stack`` with each layer's tensors taken from its
-    phase in ``Z = (omega*eps per phase..., omega*mu per phase...)``."""
+    phase in ``Z = (omega*eps per phase..., omega*mu per phase...)``.
+
+    Tensors with leading batch axes give a batched map from one propagation
+    (see :func:`~dtnstack.dtn.dtn_from_tensors`)."""
     P = len(Z) // 2
     layer_tensors = [(ly.thickness, Z[p], Z[P + p])
                      for ly, p in zip(stack.layers, phase_of_layer)]
@@ -297,18 +303,16 @@ def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
                     f"step {h} pushes Im Z[{tensor_index}] out of positive "
                     f"definiteness; decrease the step")
 
-    i_entry, j_entry = entry
-
-    def lam_entry(t: complex, D: np.ndarray) -> complex:
-        Zt = list(Z)
-        Zt[tensor_index] = base + t * D
-        return complex(phase_dtn(stack, kappa, phase_of_layer, Zt).matrix[i_entry, j_entry])
-
+    # one batched boundary operator per direction for the four stencil offsets
+    offsets = np.array([h, -h, 1j * h, -1j * h])[:, None, None]
     worst = 0.0
     for D in directions:
-        worst = max(worst, cr_residual(lambda t: lam_entry(t, D), 0.0, h))
+        Zt = list(Z)
+        Zt[tensor_index] = base + offsets * D
+        vals = phase_dtn(stack, kappa, phase_of_layer, Zt).matrix[:, entry[0], entry[1]]
+        worst = max(worst, float(_stencil_residual(*vals, h)))
     what = "eps" if tensor_index < P else "mu"
     phase = labels[tensor_index % P]
     return AnalyticityReport(
-        label=f"{what}[{phase}] entry ({row},{col}) -> Lambda[{i_entry},{j_entry}]",
+        label=f"{what}[{phase}] entry ({row},{col}) -> Lambda[{entry[0]},{entry[1]}]",
         point=complex(omega), step=h, residual=float(worst))

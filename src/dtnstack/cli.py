@@ -49,11 +49,10 @@ from .dtn import dtn, energy_balance, flux_form
 from .exceptions import (
     NumericRangeError,
     SingularMatrixError,
-    StackParseError,
     ToolkitError,
 )
 from .report import emit_report, make_report_body, write_sweep_csv
-from .stack import StackSpec, parse_stack
+from .stack import StackSpec, _fail, parse_stack
 from .transfer import transfer
 from .tubular import (
     herglotz_along_trajectory,
@@ -67,6 +66,9 @@ __all__ = ["main", "RunConfig"]
 #: commands whose frequencies must lie in the open upper half-plane
 CERTIFICATION_COMMANDS = {"dtn", "certify", "energy", "sweep", "trajectory"}
 
+#: most ``--quad-points`` accepted: 1e6 points already take ~600 MB
+MAX_QUAD_POINTS = 1_000_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on bad usage; the contract wants 1."""
@@ -74,10 +76,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fail(key: str, msg: str):
-    raise StackParseError(f"{key}: {msg}", key=key)
 
 
 def _num(doc, key: str, path: str, default=None) -> float:
@@ -209,14 +207,6 @@ def parse_run_config(doc: dict, command: str) -> RunConfig:
                      grid, z0, z1, psi0, f, L0, traj_omega, doc)
 
 
-def _cjson(M) -> list:
-    """Complex array → nested [re, im] pairs."""
-    A = np.asarray(M, dtype=complex)
-    if A.ndim == 1:
-        return [[float(v.real), float(v.imag)] for v in A]
-    return [_cjson(row) for row in A]
-
-
 def _certificate_json(cert) -> dict:
     wd = cert.well_defined
     return {
@@ -244,7 +234,7 @@ def _cmd_transfer(cfg: RunConfig, args) -> tuple[dict, list, int]:
     F = flux_form(T)
     results = {
         "omega": w, "kappa": list(cfg.kappa), "z0": cfg.z0, "z1": cfg.z1,
-        "transfer_matrix": _cjson(T.matrix),
+        "transfer_matrix": T.matrix,
         "flux_min_eig": F.min_eig,
     }
     return results, [], 0
@@ -255,8 +245,8 @@ def _cmd_dtn(cfg: RunConfig, args) -> tuple[dict, list, int]:
     L, cert = dtn(cfg.stack, cfg.kappa, w, cfg.z0, cfg.z1)
     results = {
         "omega": w, "kappa": list(cfg.kappa), "z0": cfg.z0, "z1": cfg.z1,
-        "lambda": _cjson(L.matrix),
-        "tangential_compression": _cjson(L.tangential_compression),
+        "lambda": L.matrix,
+        "tangential_compression": L.tangential_compression,
         "certificate": _certificate_json(cert),
     }
     return results, list(cert.anomalies), 0 if cert.ok else 2
@@ -398,8 +388,13 @@ def main(argv=None) -> int:
             print(f"dtnstack: config is not valid JSON: {exc}", file=sys.stderr)
             return 1
         cfg = parse_run_config(doc, args.command)
-        if args.quad_points < 1:
-            print("dtnstack: --quad-points must be >= 1", file=sys.stderr)
+        if not 1 <= args.quad_points <= MAX_QUAD_POINTS:
+            print(f"dtnstack: --quad-points must be between 1 and "
+                  f"{MAX_QUAD_POINTS}, got {args.quad_points}", file=sys.stderr)
+            return 1
+        if args.cr_step is not None and not (np.isfinite(args.cr_step) and args.cr_step > 0):
+            print(f"dtnstack: --cr-step must be finite and > 0, got {args.cr_step}",
+                  file=sys.stderr)
             return 1
         results, anomalies, code = _COMMANDS[args.command](cfg, args)
     except (SingularMatrixError, NumericRangeError) as exc:

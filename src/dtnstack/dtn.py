@@ -195,7 +195,9 @@ class DtnMap:
 
     ``matrix`` is 6×6 acting on stacked 3-vectors (top face first); rows and
     columns 3 and 6 are identically zero because both the inputs and outputs
-    are tangential.
+    are tangential. A batch of operators has ``matrix`` of shape
+    ``(..., 6, 6)``; ``blocks`` and ``tangential_compression`` index the last
+    two axes.
     """
 
     z0: float
@@ -205,13 +207,13 @@ class DtnMap:
     @property
     def blocks(self):
         M = self.matrix
-        return (M[:3, :3].copy(), M[:3, 3:].copy(),
-                M[3:, :3].copy(), M[3:, 3:].copy())
+        return (M[..., :3, :3].copy(), M[..., :3, 3:].copy(),
+                M[..., 3:, :3].copy(), M[..., 3:, 3:].copy())
 
     @property
     def tangential_compression(self) -> np.ndarray:
         """The 4×4 restriction to rows/columns 1, 2, 4, 5."""
-        return self.matrix[np.ix_(TANGENTIAL_INDICES, TANGENTIAL_INDICES)].copy()
+        return self.matrix[..., TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES]
 
 
 def _lambda_matrix(G: np.ndarray) -> np.ndarray:
@@ -277,7 +279,7 @@ def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float
             f"transfer-matrix block numerically singular for passive input "
             f"(cond T12 {wd.condition_T12:.3e})")
     L = _lambda_matrix(_gamma_matrix(T))
-    comp_im = hermitian_parts(L[0][np.ix_(TANGENTIAL_INDICES, TANGENTIAL_INDICES)]).imag
+    comp_im = hermitian_parts(L[0, TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES]).imag
     im_min = float(np.linalg.eigvalsh(comp_im)[0])
     if passive and wd.flux_positive and im_min <= 0.0:
         anomalies.append(
@@ -343,11 +345,19 @@ def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0,
     The tensor route drives the analyticity slices and trajectory
     certificates, where the response tensors are perturbed directly instead
     of coming from material models at a frequency.
+
+    ``layer_tensors`` lists ``(thickness, omega_eps, omega_mu)`` bottom to
+    top. Tensors with (broadcasting) leading batch axes are one propagation:
+    ``matrix`` has shape ``batch + (6, 6)``, the certificate is entry 0's,
+    and every entry passes the ``T12``, normal-block and overflow guards.
     """
     k = _validate_kappa_real(kappa)
     t, we, wm = zip(*layer_tensors)
-    L, cert = _certified_dtn(t, np.stack(we)[None], np.stack(wm)[None], k, c, z_min)
-    return DtnMap(float(z_min), float(np.cumsum((z_min,) + t)[-1]), L[0]), cert
+    Z = np.stack(np.broadcast_arrays(*we, *wm), axis=-3)
+    flat = Z.reshape((-1,) + Z.shape[-3:])
+    L, cert = _certified_dtn(t, flat[:, :len(t)], flat[:, len(t):], k, c, z_min)
+    return (DtnMap(float(z_min), float(np.cumsum((z_min,) + t)[-1]),
+                   L.reshape(Z.shape[:-3] + (6, 6))), cert)
 
 
 def apply_dtn(L: DtnMap, f_top, f_bottom) -> tuple[np.ndarray, np.ndarray]:
@@ -371,7 +381,7 @@ def apply_dtn(L: DtnMap, f_top, f_bottom) -> tuple[np.ndarray, np.ndarray]:
     if max(abs(ft[2]), abs(fb[2])) > 1e-13 * scale:
         raise DomainError("traces must be tangential (zero third component)")
     g = L.matrix @ np.concatenate([ft, fb])
-    return g[:3], g[3:]
+    return g[..., :3], g[..., 3:]
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analyticity import cr_residual, default_cr_step, scalar_sample
+from .analyticity import _stencil_residual, default_cr_step, scalar_sample
 from .dtn import DtnMap
 from .exceptions import ContractError, DomainError, ParameterError, SingularMatrixError
-from .linalg import as_cmatrix, hermitian_parts, solve
+from .linalg import as_cmatrix, condition_1norm, hermitian_parts, solve
 
 __all__ = [
     "phi",
@@ -51,21 +51,13 @@ def _require_hermitian(M, name: str = "matrix") -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def _upper_pairs(n: int):
-    return [(k, l) for k in range(n) for l in range(k + 1, n)]
-
-
 def phi(A) -> np.ndarray:
     """Coordinates of a Hermitian matrix: diagonal, then ``√2·Re`` and
     ``√2·Im`` of the upper triangle (row-major)."""
     H = _require_hermitian(A, "A")
-    n = H.shape[0]
-    pairs = _upper_pairs(n)
-    return np.concatenate([
-        np.diag(H).real,
-        [np.sqrt(2.0) * H[k, l].real for k, l in pairs],
-        [np.sqrt(2.0) * H[k, l].imag for k, l in pairs],
-    ])
+    upper = H[np.triu_indices(H.shape[0], 1)]
+    return np.concatenate([np.diag(H).real, np.sqrt(2.0) * upper.real,
+                           np.sqrt(2.0) * upper.imag])
 
 
 def phi_inv(x) -> np.ndarray:
@@ -76,12 +68,9 @@ def phi_inv(x) -> np.ndarray:
         raise ParameterError(f"coordinate length {v.size} is not a perfect square")
     H = np.zeros((n, n), dtype=complex)
     H[np.diag_indices(n)] = v[:n]
-    pairs = _upper_pairs(n)
-    m = len(pairs)
-    for idx, (k, l) in enumerate(pairs):
-        val = (v[n + idx] + 1j * v[n + m + idx]) / np.sqrt(2.0)
-        H[k, l] = val
-        H[l, k] = np.conj(val)
+    k, l = np.triu_indices(n, 1)
+    H[k, l] = (v[n:n + k.size] + 1j * v[n + k.size:]) / np.sqrt(2.0)
+    H[l, k] = H[k, l].conj()
     return H
 
 
@@ -94,16 +83,7 @@ def basis(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ParameterError(f"dimension must be >= 1, got {n}")
-    out = np.zeros((n * n, n, n), dtype=complex)
-    for k in range(n):
-        out[k, k, k] = 1.0
-    pairs = _upper_pairs(n)
-    m = len(pairs)
-    for idx, (k, l) in enumerate(pairs):
-        out[n + idx, k, l] = out[n + idx, l, k] = 1.0 / np.sqrt(2.0)
-        out[n + m + idx, k, l] = 1j / np.sqrt(2.0)
-        out[n + m + idx, l, k] = -1j / np.sqrt(2.0)
-    return out
+    return np.array([phi_inv(e) for e in np.eye(n * n)])
 
 
 class ConeMembership(NamedTuple):
@@ -205,21 +185,31 @@ def trajectory_coeffs(L0, tensors: Sequence) -> TrajectorySpec:
 
 
 def trajectory_point(spec: TrajectorySpec, s) -> tuple[np.ndarray, ...]:
-    """Tensors ``L'_j(s) = L0 - (A_j + s B_j)^{-1}`` at ``Im s > 0``."""
-    sc = complex(s)
-    if sc.imag <= 0.0:
-        raise DomainError(f"trajectory parameter must satisfy Im s > 0, got {sc}")
-    out = []
-    eye = np.eye(spec.L0.shape[0], dtype=complex)
-    for j, (A, B) in enumerate(spec.coeffs):
-        try:
-            inv = solve(A + sc * B, eye)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"anomaly: A + sB singular at Im s > 0 for tensor {j} "
-                f"(contradicts B > 0): {exc}", condition=exc.condition) from exc
-        out.append(spec.L0.astype(complex) - inv)
-    return tuple(out)
+    """Tensors ``L'_j(s) = L0 - (A_j + s B_j)^{-1}`` at ``Im s > 0``.
+
+    ``s`` may be an array: each returned tensor then has leading shape
+    ``s.shape``, and all of them come from one guarded solve over the
+    (parameter, tensor) batch of ``A_j + s B_j``.
+    """
+    sc = np.asarray(s, dtype=complex)
+    bad = ~(sc.imag > 0.0)
+    if np.any(bad):
+        raise DomainError(f"trajectory parameter must satisfy Im s > 0, "
+                          f"got {complex(sc[bad][0])}")
+    if not spec.coeffs:
+        return ()
+    A, B = (np.stack(M) for M in zip(*spec.coeffs))
+    M = A + sc[..., None, None, None] * B
+    try:
+        inv = solve(M, np.eye(spec.L0.shape[0], dtype=complex))
+    except SingularMatrixError as exc:
+        cond = condition_1norm(M).reshape(-1, len(spec.coeffs))
+        raise SingularMatrixError(
+            f"anomaly: A + sB singular at Im s > 0 for tensor "
+            f"{int(np.argmax(cond.max(axis=0)))} (contradicts B > 0): {exc}",
+            condition=exc.condition) from exc
+    out = spec.L0 - inv
+    return tuple(out[..., j, :, :] for j in range(len(spec.coeffs)))
 
 
 def trajectory_roundtrip(L0, tensors: Sequence) -> float:
@@ -259,7 +249,9 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
     builder : callable
         Maps the tuple of trajectory tensors to a boundary operator
         (typically wrapping the tensor-route pipeline with fixed geometry,
-        wavevector, and constant).
+        wavevector, and constant). It gets tensors of leading shape (5,),
+        an s-point and its four CR-stencil neighbours, and must return the
+        batched (5, 6, 6) map, as :func:`~dtnstack.dtn.dtn_from_tensors` does.
     spec : TrajectorySpec
     f : array_like
         Tangential 6-vector sample direction.
@@ -271,15 +263,14 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
     if not len(s_grid):
         raise ParameterError("s_grid must be nonempty")
 
-    def h_f(s: complex) -> complex:
-        return scalar_sample(builder(trajectory_point(spec, s)), f)
-
     values, residuals = [], []
     for s in s_grid:
         sc = complex(s)
-        values.append(h_f(sc))
         h = min(default_cr_step(sc), 0.5 * sc.imag)
-        residuals.append(cr_residual(h_f, sc, h))
+        stencil = sc + np.array([0.0, h, -h, 1j * h, -1j * h])
+        v = scalar_sample(builder(trajectory_point(spec, stencil)), f)
+        values.append(complex(v[0]))
+        residuals.append(float(_stencil_residual(*v[1:], h)))
     min_im = min(v.imag for v in values)
     worst_cr = max(residuals)
     passed = bool(min_im > 0.0 and worst_cr < cr_tol)

@@ -97,6 +97,30 @@ def test_bad_flag_values(tmp_path):
                     "--quad-points", "0"]) == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["certify", "sweep"])
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+def test_bad_cr_step_is_named_usage_error(tmp_path, capsys, command, step):
+    # a zero step used to divide by zero in the CR stencil, a negative one
+    # pushed the stencil out of the upper half-plane
+    assert run_cli([command, "--config", VACUUM, "--out", tmp_path,
+                    "--cr-step", step]) == 1
+    assert "--cr-step must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_quad_points_upper_bound(tmp_path, capsys, monkeypatch):
+    # rejected before the quadrature allocates anything
+    def refuse(*args, **kwargs):
+        raise AssertionError("energy_balance must not run")
+
+    monkeypatch.setattr("dtnstack.cli.energy_balance", refuse)
+    assert run_cli(["energy", "--config", VACUUM, "--out", tmp_path,
+                    "--quad-points", "1000001"]) == 1
+    assert "--quad-points must be between 1 and 1000000" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ------------------------------------------------------------- determinism
 
 def test_report_bodies_byte_identical_across_runs(tmp_path):

@@ -7,6 +7,7 @@ from dtnstack import (
     GeometryError,
     Layer,
     MaterialSpec,
+    SingularMatrixError,
     StackSpec,
     apply_dtn,
     check_well_defined,
@@ -230,6 +231,43 @@ def test_dtn_from_tensors_matches_stack_route(rng):
                               z_min=s.z_min)
     assert np.allclose(L1.matrix, L2.matrix, atol=1e-13)
     assert c1.ok and c2.ok
+
+
+def test_dtn_from_tensors_batch_matches_single_entries(rng):
+    # tensors with a leading batch axis go through one propagation; every
+    # entry matches its own unbatched call, and the certificate is entry 0's
+    s = rand_stack(rng, max_layers=3, dispersive=True)
+    kap = rand_kappa(rng)
+    per = [resolve_layers(s, rand_omega(rng)) for _ in range(5)]
+    batched = [(d, np.stack([p[j][1] for p in per]), np.stack([p[j][2] for p in per]))
+               for j, (d, _, _) in enumerate(per[0])]
+    L, cert = dtn_from_tensors(batched, kap, c=s.c, z_min=s.z_min)
+    assert L.matrix.shape == (5, 6, 6)
+    assert L.tangential_compression.shape == (5, 4, 4)
+    assert [b.shape for b in L.blocks] == [(5, 3, 3)] * 4
+    for k, layers in enumerate(per):
+        Lk, ck = dtn_from_tensors(layers, kap, c=s.c, z_min=s.z_min)
+        assert (L.z0, L.z1) == (Lk.z0, Lk.z1)
+        rel = np.linalg.norm(L.matrix[k] - Lk.matrix) / np.linalg.norm(Lk.matrix)
+        assert rel <= 1e-14
+        if k == 0:
+            assert cert.ok and ck.ok
+            assert cert.im_min_eig == pytest.approx(ck.im_min_eig, rel=1e-12)
+    # unbatched tensors broadcast against batched ones
+    mixed = [batched[0]] + per[0][1:]
+    Lm, _ = dtn_from_tensors(mixed, kap, c=s.c, z_min=s.z_min)
+    assert Lm.matrix.shape == (5, 6, 6)
+
+
+def test_dtn_from_tensors_batch_guards_every_entry(rng):
+    # a singular normal block in a later batch entry still raises
+    s = rand_stack(rng, max_layers=2)
+    layers = resolve_layers(s, rand_omega(rng))
+    d, we, wm = layers[0]
+    we = np.stack([we] * 5)
+    we[3, 2, 2] = 0.0
+    with pytest.raises(SingularMatrixError, match="normal response block"):
+        dtn_from_tensors([(d, we, wm)] + layers[1:], rand_kappa(rng), c=s.c)
 
 
 def test_apply_dtn_defining_relation(rng):

@@ -5,19 +5,23 @@ from dtnstack import (
     ContractError,
     DomainError,
     Layer,
+    SingularMatrixError,
     StackSpec,
     TrajectorySpec,
     basis,
     cone_member,
+    cr_residual,
     dtn_from_tensors,
     herglotz_along_trajectory,
     phi,
     phi_inv,
+    scalar_sample,
     self_duality_check,
     trajectory_coeffs,
     trajectory_point,
     trajectory_roundtrip,
 )
+from dtnstack.analyticity import default_cr_step
 from generators import rand_hermitian, rand_posdef
 
 
@@ -187,3 +191,54 @@ def test_herglotz_along_trajectory_boundary_operator(rng):
     (we_i, wm_i) = trajectory_point(spec, 1j)
     assert np.allclose(we_i, eps, atol=1e-12)
     assert np.allclose(wm_i, mu, atol=1e-12)
+
+
+def test_trajectory_point_batch_matches_scalar_calls(rng):
+    L0 = rand_hermitian(rng, 3).real
+    tensors = [rand_hermitian(rng, 3) + 1j * rand_posdef(rng, 3) for _ in range(4)]
+    spec = trajectory_coeffs(L0, tensors)
+    s = rng.uniform(-2, 2, (2, 5)) + 1j * rng.uniform(0.1, 2, (2, 5))
+    batch = trajectory_point(spec, s)
+    assert len(batch) == 4
+    for j, Lj in enumerate(batch):
+        assert Lj.shape == (2, 5, 3, 3)
+        for idx in np.ndindex(s.shape):
+            ref = trajectory_point(spec, s[idx])[j]
+            assert ref.shape == (3, 3)
+            assert np.linalg.norm(Lj[idx] - ref) <= 1e-15 * np.linalg.norm(ref)
+    with pytest.raises(DomainError, match="-0.5"):
+        trajectory_point(spec, np.array([1j, -0.5 + 0j, 2j]))
+
+
+def test_trajectory_point_batch_names_singular_tensor():
+    # A_1 + s B_1 is singular at s = 2i only; the batch still names tensor 1
+    eye = np.eye(3, dtype=complex)
+    spec = TrajectorySpec(np.zeros((3, 3)),
+                          ((0 * eye, eye), (np.diag([-2j, 1.0, 1.0]), eye)))
+    with pytest.raises(SingularMatrixError, match="for tensor 1"):
+        trajectory_point(spec, np.array([1j, 2j, 3j]))
+
+
+def test_herglotz_along_trajectory_matches_per_point_reference(rng):
+    # the stencil-batched route against one builder call per parameter value
+    eps = rand_hermitian(rng, 3) + 1.2j * rand_posdef(rng, 3)
+    mu = rand_hermitian(rng, 3) + 1.2j * rand_posdef(rng, 3)
+    spec = trajectory_coeffs(rand_hermitian(rng, 3).real, [eps, mu])
+
+    def builder(tensors):
+        we, wm = tensors
+        return dtn_from_tensors([(0.5, we, wm), (0.3, wm, we)], (0.4, -0.3))[0]
+
+    f = np.array([1.0, 0.5j, 0.0, -0.3, 0.2, 0.0])
+    s_grid = [complex(r, i) for r in (-0.7, 0.2) for i in (0.3, 1.1)]
+    cert = herglotz_along_trajectory(builder, spec, f, s_grid)
+
+    def h_f(s):
+        return scalar_sample(builder(trajectory_point(spec, s)), f)
+
+    ref = [h_f(s) for s in s_grid]
+    worst = max(cr_residual(h_f, s, min(default_cr_step(s), 0.5 * s.imag))
+                for s in s_grid)
+    for v, r in zip(cert.values, ref):
+        assert abs(v - r) <= 1e-13 * abs(r)
+    assert cert.worst_cr == pytest.approx(worst, rel=1e-3)
