@@ -22,11 +22,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dtn import TANGENTIAL_INDICES, DtnCertificate, DtnMap, boundary_operators, dtn_from_tensors
+from .dtn import (TANGENTIAL_INDICES, DtnCertificate, DtnMap, _certified_dtn,
+                  _certified_inputs, dtn_from_tensors)
 from .exceptions import DomainError, ParameterError
 from .herglotz import material_response
 from .linalg import as_cmatrix, hermitian_parts
 from .stack import StackSpec
+from .transfer import resolve_stack
 
 __all__ = [
     "AnalyticityReport",
@@ -42,6 +44,13 @@ __all__ = [
     "phase_tensors",
     "phase_dtn",
 ]
+
+
+#: most (stencil frequency, layer) pairs whose response tensors
+#: :func:`herglotz_certify` resolves per call, five stencil frequencies per
+#: grid point: bounds the resolved arrays (288 bytes per pair) whatever the
+#: grid size
+RESOLVE_BATCH = 2048
 
 
 def default_cr_step(z0: complex) -> float:
@@ -134,6 +143,37 @@ class PointRecord(NamedTuple):
     compression: np.ndarray
 
 
+def _certified_points(stack: StackSpec, kappa, grid: Sequence[complex],
+                      z0: float | None, z1: float | None, step: float | None):
+    """``(PointRecord, DtnCertificate)`` of each grid point in turn.
+
+    Every stencil passes the ``Im omega > 0`` and real-``kappa`` gates before
+    any work; the materials are resolved once per chunk of grid points (at
+    most :data:`RESOLVE_BATCH` frequency-layer pairs, or one point), and each
+    grid point is one propagation of its frequency and four stencil
+    neighbours.
+    """
+    z0 = stack.z_min if z0 is None else float(z0)
+    z1 = stack.z_max if z1 is None else float(z1)
+    omegas = [complex(w) for w in grid]
+    steps = [min(default_cr_step(w) if step is None else float(step), 0.5 * w.imag)
+             for w in omegas]
+    stencils = np.array([w + np.array([0.0, h, -h, 1j * h, -1j * h])
+                         for w, h in zip(omegas, steps)])
+    stencils, k = _certified_inputs(kappa, stencils, z0, z1)
+    chunk = max(1, RESOLVE_BATCH // (5 * len(stack.layers)))
+    for start in range(0, len(omegas), chunk):
+        thickness, we, wm = resolve_stack(stack, stencils[start:start + chunk])
+        for i, (w, h) in enumerate(zip(omegas[start:start + chunk],
+                                       steps[start:start + chunk])):
+            L, cert = _certified_dtn(thickness, we[i], wm[i], k, stack.c,
+                                     stack.z_min, z0, z1)
+            comp = L[:, TANGENTIAL_INDICES][:, :, TANGENTIAL_INDICES]
+            res = _stencil_residual(*comp[1:], h)
+            yield PointRecord(w, cert.im_min_eig, float(np.max(res)),
+                              cert.well_defined.condition_T12, comp[0]), cert
+
+
 def certify_point(stack: StackSpec, kappa, omega, z0: float | None = None,
                   z1: float | None = None,
                   step: float | None = None) -> tuple[PointRecord, DtnCertificate]:
@@ -141,21 +181,11 @@ def certify_point(stack: StackSpec, kappa, omega, z0: float | None = None,
 
     Records the smallest eigenvalue of ``Im`` of the tangential compression,
     the worst CR residual in frequency over the compression entries (shared
-    4-point stencil, kept inside the upper half-plane), and the condition
-    estimate of the pivotal transfer block.
+    4-point stencil of width ``step``, default :func:`default_cr_step`,
+    kept inside the upper half-plane), and the condition estimate of the
+    pivotal transfer block.
     """
-    w = complex(omega)
-    z0 = stack.z_min if z0 is None else float(z0)
-    z1 = stack.z_max if z1 is None else float(z1)
-    h = default_cr_step(w) if step is None else float(step)
-    h = min(h, 0.5 * w.imag)
-    stencil = w + np.array([0.0, h, -h, 1j * h, -1j * h])
-    L, cert = boundary_operators(stack, kappa, stencil, z0, z1)
-    comp = L[:, TANGENTIAL_INDICES][:, :, TANGENTIAL_INDICES]
-    res = _stencil_residual(*comp[1:], h)
-    record = PointRecord(w, cert.im_min_eig, float(np.max(res)),
-                         cert.well_defined.condition_T12, comp[0])
-    return record, cert
+    return next(_certified_points(stack, kappa, [omega], z0, z1, step))
 
 
 @dataclass(frozen=True)
@@ -179,16 +209,16 @@ def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
     The verdict passes iff every grid point has a strictly positive smallest
     eigenvalue of ``Im`` on the tangential compression, every CR residual is
     below ``cr_tol``, all layers are passive at every point, and no
-    theorem-contradicting anomaly was recorded. Each grid point is one
-    batched propagation of the frequency and its four stencil neighbours.
-    ``step`` overrides the per-point default CR stencil width.
+    theorem-contradicting anomaly was recorded. The materials are resolved
+    once per chunk of grid points, and each grid point is one batched
+    propagation of the frequency and its four stencil neighbours. ``step``
+    overrides the per-point default CR stencil width.
     """
     if not grid:
         raise ParameterError("grid must be nonempty")
     points, anomalies = [], []
     all_passive = True
-    for w in grid:
-        record, cert = certify_point(stack, kappa, complex(w), z0, z1, step=step)
+    for record, cert in _certified_points(stack, kappa, grid, z0, z1, step):
         points.append(record)
         all_passive = all_passive and cert.passive
         anomalies.extend(cert.anomalies)

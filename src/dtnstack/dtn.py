@@ -297,18 +297,27 @@ def _validate_kappa_real(kappa) -> tuple[float, float]:
     return float(k[0].real), float(k[1].real)
 
 
-def boundary_operators(stack: StackSpec, kappa, omegas, z0: float,
-                       z1: float) -> tuple[np.ndarray, DtnCertificate]:
-    """Boundary operators of the slab ``[z0, z1]`` at frequencies ``omegas``
-    (all with ``Im omega > 0``) from one batched propagation: the matrices,
-    shape (n, 6, 6), and the certificate (see :func:`dtn`) of the first."""
-    w = np.asarray(omegas, dtype=complex).reshape(-1)
+def _certified_inputs(kappa, omegas, z0: float,
+                      z1: float) -> tuple[np.ndarray, tuple[float, float]]:
+    """The frequencies as an array and the real wavevector, after the gates of
+    the certified routes: ``Im omega > 0`` everywhere, real ``kappa`` and
+    ``z0 < z1``."""
+    w = np.asarray(omegas, dtype=complex)
     if np.any(w.imag <= 0.0):
         raise DomainError(f"omega must satisfy Im omega > 0, got "
                           f"{complex(w[w.imag <= 0.0][0])}")
     k = _validate_kappa_real(kappa)
     if not z0 < z1:
         raise GeometryError(f"need z0 < z1, got z0={z0}, z1={z1}")
+    return w, k
+
+
+def boundary_operators(stack: StackSpec, kappa, omegas, z0: float,
+                       z1: float) -> tuple[np.ndarray, DtnCertificate]:
+    """Boundary operators of the slab ``[z0, z1]`` at frequencies ``omegas``
+    (all with ``Im omega > 0``) from one batched propagation: the matrices,
+    shape (n, 6, 6), and the certificate (see :func:`dtn`) of the first."""
+    w, k = _certified_inputs(kappa, np.reshape(omegas, -1), z0, z1)
     thickness, we, wm = resolve_stack(stack, w)
     return _certified_dtn(thickness, we, wm, k, stack.c, stack.z_min, z0, z1)
 
