@@ -81,15 +81,29 @@ def test_mat_exp_overflow_raises():
         mat_exp(np.diag([1e6, 1e6]).astype(complex))
 
 
+#: Higham's (2005, Table 2.3) bounds on the 1-norm for each Padé degree
+PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+              7: 9.504178996162932e-1, 9: 2.097847961257068,
+              13: 5.371920351148152}
+
+#: 1-norms on both sides of every degree's bound
+BAND_EDGE_NORMS = [f * theta for theta in PADE_THETA.values()
+                   for f in (0.5, 0.99, 1.01)]
+
+
+def _with_norm(rng, norm1, shape=()):
+    M = rng.standard_normal(shape + (4, 4)) + 1j * rng.standard_normal(shape + (4, 4))
+    return M * (norm1 / np.abs(M).sum(axis=-2).max(axis=-1))[..., None, None]
+
+
 def test_mat_exp_matches_high_precision_oracle():
     # 50-digit scaling-and-squaring Taylor exponential of the same double
     # inputs, so the comparison sees only the Padé route's own error.
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(5838)
     worst = 0.0
-    for norm1 in np.logspace(-3, 2, 60):
-        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        M *= norm1 / np.abs(M).sum(axis=0).max()
+    for norm1 in [*np.logspace(-3, 2, 60), *BAND_EDGE_NORMS]:
+        M = _with_norm(rng, norm1)
         with mpmath.workdps(50):
             ref = np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(), dtype=complex)
         worst = max(worst, np.linalg.norm(mat_exp(M) - ref) / np.linalg.norm(ref))
@@ -97,7 +111,8 @@ def test_mat_exp_matches_high_precision_oracle():
 
 
 def test_mat_exp_batch_matches_single_calls(rng):
-    # each matrix is scaled by its own power of two, whatever its neighbours
+    # each matrix gets its own degree and power-of-two scaling, whatever its
+    # neighbours
     B = rng.standard_normal((3, 5, 4, 4)) + 1j * rng.standard_normal((3, 5, 4, 4))
     B *= np.logspace(-3, 2, 15).reshape(3, 5, 1, 1)
     E = mat_exp(B)
@@ -106,6 +121,13 @@ def test_mat_exp_batch_matches_single_calls(rng):
         for j in range(5):
             single = mat_exp(B[i, j])
             assert np.linalg.norm(E[i, j] - single) <= 1e-14 * np.linalg.norm(single)
+    # one batch mixing all five Padé degrees, each matrix at its own degree
+    norms = rng.permutation(BAND_EDGE_NORMS)
+    mixed = _with_norm(rng, norms, norms.shape)
+    E = mat_exp(mixed)
+    for M, EM in zip(mixed, E):
+        single = mat_exp(M)
+        assert np.linalg.norm(EM - single) <= 1e-14 * np.linalg.norm(single)
 
 
 def test_solve_matches_numpy(rng):
