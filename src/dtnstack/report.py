@@ -60,9 +60,12 @@ def to_jsonable(obj):
 
 
 def _write(obj, indent: int, level: int, out: list):
+    """Append the JSON text of ``obj``; values that are not yet plain JSON
+    data go through :func:`to_jsonable` first, so normalised parts of a
+    body are walked once."""
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         if not obj:
             out.append("{}")
             return
@@ -85,7 +88,7 @@ def _write(obj, indent: int, level: int, out: list):
         out.append(pad + "]")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, int):
+    elif type(obj) is int:
         out.append(str(obj))
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
@@ -93,14 +96,14 @@ def _write(obj, indent: int, level: int, out: list):
         out.append(json.dumps(obj))
     elif obj is None:
         out.append("null")
-    else:  # pragma: no cover - to_jsonable normalizes first
-        raise ParameterError(f"cannot serialize value of type {type(obj).__name__}")
+    else:
+        _write(to_jsonable(obj), indent, level, out)
 
 
 def dumps_deterministic(obj, indent: int = 2) -> str:
     """Serialize to JSON text with sorted keys and %.17g floats."""
     out: list = []
-    _write(to_jsonable(obj), indent, 0, out)
+    _write(obj, indent, 0, out)
     out.append("\n")
     return "".join(out)
 
