@@ -58,6 +58,14 @@ def default_cr_step(z0: complex) -> float:
     return 1e-4 * max(1.0, abs(complex(z0)))
 
 
+def _stencil(z: complex, step: float | None = None) -> tuple[np.ndarray, float]:
+    """The CR stencil ``z + [0, h, -h, ih, -ih]`` and its step ``h``:
+    ``step`` (default :func:`default_cr_step`) clamped to ``Im z / 2``, so
+    the stencil stays in the upper half-plane."""
+    h = min(default_cr_step(z) if step is None else float(step), 0.5 * z.imag)
+    return z + np.array([0.0, h, -h, 1j * h, -1j * h]), h
+
+
 def _stencil_residual(fp, fm, fip, fim, h: float):
     """CR residual from the four stencil values (array-valued allowed)."""
     deriv = (np.asarray(fp) - np.asarray(fm)) / (2.0 * h) \
@@ -156,11 +164,8 @@ def _certified_points(stack: StackSpec, kappa, grid: Sequence[complex],
     z0 = stack.z_min if z0 is None else float(z0)
     z1 = stack.z_max if z1 is None else float(z1)
     omegas = [complex(w) for w in grid]
-    steps = [min(default_cr_step(w) if step is None else float(step), 0.5 * w.imag)
-             for w in omegas]
-    stencils = np.array([w + np.array([0.0, h, -h, 1j * h, -1j * h])
-                         for w, h in zip(omegas, steps)])
-    stencils, k = _certified_inputs(kappa, stencils, z0, z1)
+    stencils, steps = zip(*(_stencil(w, step) for w in omegas))
+    stencils, k = _certified_inputs(kappa, np.array(stencils), z0, z1)
     chunk = max(1, RESOLVE_BATCH // (5 * len(stack.layers)))
     for start in range(0, len(omegas), chunk):
         thickness, we, wm = resolve_stack(stack, stencils[start:start + chunk])

@@ -7,7 +7,7 @@ Subcommands::
     dtnstack certify    --config cfg.json [--out DIR] [--tol T] [--cr-step H]
     dtnstack energy     --config cfg.json [--out DIR] [--tol T] [--quad-points N]
     dtnstack sweep      --config cfg.json [--out DIR] [--cr-step H]
-    dtnstack trajectory --config cfg.json [--out DIR] [--tol T]
+    dtnstack trajectory --config cfg.json [--out DIR] [--tol T] [--cr-step H]
 
 Exit codes: 0 success, 1 usage or input error, 2 certification failure or
 numerical anomaly. Every successful run writes a deterministic
@@ -68,6 +68,9 @@ CERTIFICATION_COMMANDS = {"dtn", "certify", "energy", "sweep", "trajectory"}
 
 #: most ``--quad-points`` accepted: 1e6 points already take ~600 MB
 MAX_QUAD_POINTS = 1_000_000
+
+#: most frequency-grid points accepted (``re_steps × im_steps``)
+MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,6 +161,9 @@ def parse_run_config(doc: dict, command: str) -> RunConfig:
         _fail("omega_grid.re_steps", "must be >= 1")
     if im_steps < 1:
         _fail("omega_grid.im_steps", "must be >= 1")
+    if re_steps * im_steps > MAX_GRID_POINTS:
+        _fail("omega_grid", f"re_steps × im_steps must be at most {MAX_GRID_POINTS}, "
+                            f"got {re_steps * im_steps}")
     if re_max < re_min:
         _fail("omega_grid.re_max", "must be >= re_min")
     if im_max < im_min:
@@ -320,7 +326,7 @@ def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list, int]:
     roundtrip = trajectory_roundtrip(cfg.traj_L0, Z)
     spec = trajectory_coeffs(cfg.traj_L0, Z)
     cert = herglotz_along_trajectory(builder, spec, cfg.f, cfg.grid,
-                                     cr_tol=cr_tol)
+                                     cr_tol=cr_tol, step=args.cr_step)
     sample_orig = scalar_sample(builder(Z), cfg.f)
     sample_back = scalar_sample(builder(trajectory_point(spec, 1j)), cfg.f)
     sample_dev = abs(sample_back - sample_orig) / max(abs(sample_orig), 1.0)
@@ -335,6 +341,7 @@ def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list, int]:
         "min_im_h": cert.min_im,
         "worst_cr": cert.worst_cr,
         "cr_tol": cr_tol,
+        "cr_step": args.cr_step,
         "passed": passed,
     }
     return results, [], 0 if passed else 2

@@ -104,11 +104,20 @@ def build_A(omega_eps, omega_mu, kappa, c: float = 1.0) -> np.ndarray:
     numpy.ndarray
         The 4×4 matrices ``A = Vpp - Vpo Voo^{-1} Vop`` after eliminating the
         normal field components.
+
+    Raises
+    ------
+    NumericRangeError
+        If an entry of ``A`` overflows (e.g. a huge wavevector).
     """
     we = as_cmatrix(omega_eps, "omega_eps", shape=(3, 3), batch=True)
     wm = as_cmatrix(omega_mu, "omega_mu", shape=(3, 3), batch=True)
-    Vpp, Vpo, Vop, voo = _v_blocks(we, wm, kappa, float(c))
-    return Vpp - (Vpo / voo[..., np.newaxis, :]) @ Vop
+    with np.errstate(all="ignore"):
+        Vpp, Vpo, Vop, voo = _v_blocks(we, wm, kappa, float(c))
+        A = Vpp - (Vpo / voo[..., np.newaxis, :]) @ Vop
+    if not np.all(np.isfinite(A.view(float))):
+        raise NumericRangeError(f"system matrix overflowed (kappa = {np.asarray(kappa).tolist()})")
+    return A
 
 
 def normal_components(omega_eps, omega_mu, kappa, psi, c: float = 1.0) -> np.ndarray:
@@ -129,7 +138,9 @@ def layer_propagator(A, dz) -> np.ndarray:
     in one :func:`mat_exp` call; ``dz`` broadcasts against A's batch axes."""
     A = as_cmatrix(A, "A", shape=(4, 4), batch=True)
     dz = np.asarray(dz, dtype=float)[..., np.newaxis, np.newaxis]
-    return mat_exp(1j * (J @ A) * dz)
+    with np.errstate(all="ignore"):  # an overflow is named by mat_exp
+        M = 1j * (J @ A) * dz
+    return mat_exp(M)
 
 
 def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analyticity import _stencil_residual, default_cr_step, scalar_sample
+from .analyticity import _stencil, _stencil_residual, scalar_sample
 from .dtn import DtnMap
 from .exceptions import ContractError, DomainError, ParameterError, SingularMatrixError
 from .linalg import as_cmatrix, condition_1norm, hermitian_parts, solve
@@ -241,7 +241,8 @@ class TrajectoryCertificate(NamedTuple):
 
 def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
                               spec: TrajectorySpec, f, s_grid: Sequence[complex],
-                              cr_tol: float = 1e-5) -> TrajectoryCertificate:
+                              cr_tol: float = 1e-5,
+                              step: float | None = None) -> TrajectoryCertificate:
     """Certify that ``s -> (Lambda(Z(s)) f, f)`` behaves as a Herglotz map.
 
     Parameters
@@ -259,15 +260,16 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
         Evaluation points in the open upper half-plane.
     cr_tol : float
         CR-residual threshold for the verdict.
+    step : float, optional
+        CR stencil width (default ``1e-4·max(1, |s|)``), clamped to
+        ``Im s / 2`` at each point.
     """
     if not len(s_grid):
         raise ParameterError("s_grid must be nonempty")
 
     values, residuals = [], []
     for s in s_grid:
-        sc = complex(s)
-        h = min(default_cr_step(sc), 0.5 * sc.imag)
-        stencil = sc + np.array([0.0, h, -h, 1j * h, -1j * h])
+        stencil, h = _stencil(complex(s), step)
         v = scalar_sample(builder(trajectory_point(spec, stencil)), f)
         values.append(complex(v[0]))
         residuals.append(float(_stencil_residual(*v[1:], h)))

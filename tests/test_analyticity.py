@@ -17,9 +17,10 @@ from dtnstack import (
     scalar_sample,
     slice_analyticity,
 )
-from dtnstack.analyticity import default_cr_step, phase_tensors
+from dtnstack.analyticity import RESOLVE_BATCH, default_cr_step, phase_tensors
 from generators import (
     rand_constant_material,
+    rand_dispersive_material,
     rand_kappa,
     rand_omega,
     rand_posdef,
@@ -155,6 +156,23 @@ def test_herglotz_certify_passive(rng):
     assert cert.worst_cr <= 1e-5
     assert len(cert.points) == len(grid)
     assert cert.anomalies == ()
+
+
+def test_herglotz_certify_chunks_match_certify_point(rng):
+    # a 64-layer stack resolves a few grid points per chunk; the records must
+    # not depend on how the grid was chunked
+    layers = tuple(Layer(2.4 / 64, (rand_dispersive_material if j % 2 else
+                                    rand_constant_material)(rng, label=f"layer{j}"))
+                   for j in range(64))
+    s = StackSpec(z_min=-0.7, layers=layers)
+    kappa = rand_kappa(rng)
+    grid = omega_grid_points(-1.0, 1.0, 4, 0.3, 1.2, 2)
+    assert len(grid) > RESOLVE_BATCH // (5 * 64)
+    cert = herglotz_certify(s, kappa, grid, step=2e-5)
+    for rec, w in zip(cert.points, grid):
+        single, _ = certify_point(s, kappa, w, step=2e-5)
+        assert rec[:4] == single[:4]
+        assert np.array_equal(rec.compression, single.compression)
 
 
 def test_herglotz_certify_flags_gain():

@@ -121,6 +121,39 @@ def test_quad_points_upper_bound(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_grid_size_upper_bound(tmp_path, capsys, monkeypatch):
+    # the product is checked before any grid point is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("omega_grid_points must not run")
+
+    monkeypatch.setattr("dtnstack.cli.omega_grid_points", refuse)
+    doc = json.loads(VACUUM.read_text())
+    doc["omega_grid"].update(re_steps=1_000_000_000, im_steps=1)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli(["certify", "--config", p, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert "omega_grid: re_steps × im_steps must be at most 100000" in err
+    assert not (tmp_path / "report.json").exists()
+    doc["omega_grid"].update(re_steps=1001, im_steps=100)
+    with pytest.raises(StackParseError, match="at most 100000"):
+        parse_run_config(doc, "transfer")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["transfer", "certify", "energy", "trajectory"])
+def test_overflowing_system_matrix_is_named_anomaly(tmp_path, capsys, command):
+    # kappa**2 overflows in build_A: exit 2 with a named reason, never a
+    # RuntimeWarning from the matrix product
+    doc = json.loads(VACUUM.read_text())
+    doc["kappa"] = [1e200, 0.0]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli([command, "--config", p, "--out", tmp_path]) == 2
+    assert "system matrix overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ------------------------------------------------------------- determinism
 
 def test_report_bodies_byte_identical_across_runs(tmp_path):
@@ -179,6 +212,19 @@ def test_trajectory_command(tmp_path):
     assert res["roundtrip_deviation"] <= 1e-12
     assert res["min_im_h"] > 0
     assert res["phases"] == ["vacuum"]
+    assert res["cr_step"] is None
+
+
+def test_trajectory_honours_cr_step(tmp_path):
+    # a wide stencil's truncation error fails the 1e-5 CR tolerance
+    runs = {}
+    for name, extra, code in (("default", [], 0), ("wide", ["--cr-step", "0.3"], 2)):
+        assert run_cli(["trajectory", "--config", VACUUM, "--out", tmp_path / name,
+                        *extra]) == code
+        runs[name] = json.loads((tmp_path / name / "report.json").read_text())["results"]
+    assert runs["wide"]["cr_step"] == 0.3
+    assert runs["wide"]["worst_cr"] > 1e-5 > runs["default"]["worst_cr"]
+    assert runs["wide"]["h_values"] == runs["default"]["h_values"]
 
 
 def test_console_script_installed(tmp_path):
