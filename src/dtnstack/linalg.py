@@ -195,7 +195,7 @@ def mat_exp(M) -> np.ndarray:
     accuracy is about 1e-14 for 1-norms up to ~100. Raises
     :class:`NumericRangeError` if any result overflows.
     """
-    A = as_cmatrix(M, "M", square=True, batch=True)
+    A = as_cmatrix(M, "exponent", square=True, batch=True)
     flat = A.reshape((-1,) + A.shape[-2:])
     E = np.empty_like(flat)
     with np.errstate(all="ignore"):

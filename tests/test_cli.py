@@ -142,15 +142,18 @@ def test_grid_size_upper_bound(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["transfer", "certify", "energy", "trajectory"])
-def test_overflowing_system_matrix_is_named_anomaly(tmp_path, capsys, command):
-    # kappa**2 overflows in build_A: exit 2 with a named reason, never a
-    # RuntimeWarning from the matrix product
+@pytest.mark.parametrize("k1, reason", [(1e200, "system matrix overflowed"),
+                                        (1e154, "numerical anomaly")])
+def test_overflowing_system_matrix_is_named_anomaly(tmp_path, capsys, command,
+                                                    k1, reason):
+    # kappa**2 overflows in build_A (1e200) or in the layer exponent (1e154):
+    # exit 2 with a named reason, never a RuntimeWarning
     doc = json.loads(VACUUM.read_text())
-    doc["kappa"] = [1e200, 0.0]
+    doc["kappa"] = [k1, 0.0]
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))
     assert run_cli([command, "--config", p, "--out", tmp_path]) == 2
-    assert "system matrix overflowed" in capsys.readouterr().err
+    assert reason in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
