@@ -60,12 +60,9 @@ def to_jsonable(obj):
 
 
 def _write(obj, indent: int, level: int, out: list):
-    """Append the JSON text of ``obj``; values that are not yet plain JSON
-    data go through :func:`to_jsonable` first, so normalised parts of a
-    body are walked once."""
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+    if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
@@ -88,7 +85,7 @@ def _write(obj, indent: int, level: int, out: list):
         out.append(pad + "]")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif type(obj) is int:
+    elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
@@ -96,14 +93,14 @@ def _write(obj, indent: int, level: int, out: list):
         out.append(json.dumps(obj))
     elif obj is None:
         out.append("null")
-    else:
-        _write(to_jsonable(obj), indent, level, out)
+    else:  # pragma: no cover - to_jsonable normalizes first
+        raise ParameterError(f"cannot serialize value of type {type(obj).__name__}")
 
 
 def dumps_deterministic(obj, indent: int = 2) -> str:
     """Serialize to JSON text with sorted keys and %.17g floats."""
     out: list = []
-    _write(obj, indent, 0, out)
+    _write(to_jsonable(obj), indent, 0, out)
     out.append("\n")
     return "".join(out)
 
@@ -115,9 +112,9 @@ def versions() -> dict:
 def make_report_body(command: str, config_echo, results, anomalies) -> dict:
     """The five fixed top-level report fields."""
     return {
-        "config_echo": to_jsonable(config_echo),
+        "config_echo": config_echo,
         "command": command,
-        "results": to_jsonable(results),
+        "results": results,
         "anomalies": [str(a) for a in anomalies],
         "versions": versions(),
     }
