@@ -2,15 +2,17 @@
 
 Run from the root of a checkout::
 
-    python3 scripts/bench_snapshot.py --label mylabel [--seed 7] [--seconds 20]
+    python3 scripts/bench_snapshot.py --label mylabel
     python3 scripts/bench_snapshot.py --label base --root ../other-checkout
 
 For every workload of ``BENCHMARK.json`` it runs ``perfbench/run.py`` once
 with ``--trace 0`` (end-to-end metrics) and once with ``--trace 1``
-(per-layer metrics), then times the tier-1 test suite. ``--root`` picks the
-checkout to measure (default: the one holding this script); the snapshot is
-written at the root of the checkout holding this script, so the history of
-another commit can be recorded here. The file holds the last JSON line of
+(per-layer metrics), at seed ``SEED`` and the ``run_seconds`` of
+``BENCHMARK.json`` so that every entry of the history is comparable, then
+times the tier-1 test suite. ``--root`` picks the checkout to measure
+(default: the one holding this script); the snapshot is written at the root
+of the checkout holding this script, so the history of another commit can be
+recorded here. The file holds the last JSON line of
 each run, the seed, ``run_seconds``, ``perfbench/machine.json`` and the
 tier-1 wall time of the measured checkout.
 """
@@ -26,13 +28,15 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+#: every snapshot runs at this seed, so entries of the history compare
+SEED = 5
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
-def last_json_line(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def last_json_line(root: Path, workload: str, seconds: float, trace: int) -> dict:
     """Run one benchmark pass set and return its final JSON line."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -55,20 +59,17 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     p.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="seconds per run (default: run_seconds of BENCHMARK.json)")
     args = p.parse_args(argv)
     root = args.root.resolve()
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
                             capture_output=True, text=True).stdout.strip()
 
     workloads = {}
     for w in bench["workloads"]:
         name = w["name"]
-        workloads[name] = {f"trace{t}": last_json_line(root, name, args.seed, seconds, t)
+        workloads[name] = {f"trace{t}": last_json_line(root, name, seconds, t)
                            for t in (0, 1)}
         print(f"{name}: points_per_s = "
               f"{workloads[name]['trace0']['metrics']['points_per_s']['value']:.4g}")
@@ -76,7 +77,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "commit": commit,
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "seed": args.seed,
+        "seed": SEED,
         "run_seconds": seconds,
         "machine": json.loads((root / "perfbench" / "machine.json").read_text(encoding="utf-8")),
         "tier1": tier1(root),
