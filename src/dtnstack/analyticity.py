@@ -217,7 +217,10 @@ def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
     theorem-contradicting anomaly was recorded. The materials are resolved
     once per chunk of grid points, and each grid point is one batched
     propagation of the frequency and its four stencil neighbours. ``step``
-    overrides the per-point default CR stencil width.
+    overrides the per-point default CR stencil width. A response model that
+    is not finite anywhere in a chunk raises before any point of that chunk
+    is propagated, so it is reported ahead of a propagation error at an
+    earlier point of the chunk.
     """
     if not grid:
         raise ParameterError("grid must be nonempty")

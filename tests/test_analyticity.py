@@ -6,6 +6,7 @@ from dtnstack import (
     DomainError,
     Layer,
     MaterialSpec,
+    NumericRangeError,
     ParameterError,
     StackSpec,
     cauchy_residual,
@@ -13,6 +14,7 @@ from dtnstack import (
     cr_residual,
     dtn,
     herglotz_certify,
+    make_drude,
     omega_grid_points,
     scalar_sample,
     slice_analyticity,
@@ -173,6 +175,21 @@ def test_herglotz_certify_chunks_match_certify_point(rng):
         single, _ = certify_point(s, kappa, w, step=2e-5)
         assert rec[:4] == single[:4]
         assert np.array_equal(rec.compression, single.compression)
+
+
+def test_herglotz_certify_reports_material_errors_of_a_chunk_first():
+    # wp = 1e150: the response at 10+1j is finite but overflows the
+    # propagation (exit 2); at 1e-10(1+i) the response itself overflows
+    # (exit 1). Both points share a chunk, whose materials are resolved
+    # before any of its points is propagated, so the material error wins.
+    m = MaterialSpec(label="drude", eps_model=make_drude(1e150, 0.0, dim=3),
+                     mu_model=ConstantModel(np.eye(3, dtype=complex)))
+    s = StackSpec(z_min=0.0, layers=(Layer(1.0, m),))
+    first, second = 10 + 1j, 1e-10 + 1e-10j
+    with pytest.raises(NumericRangeError):
+        herglotz_certify(s, (0.5, 0.0), [first])
+    with pytest.raises(DomainError, match="not finite"):
+        herglotz_certify(s, (0.5, 0.0), [first, second])
 
 
 def test_herglotz_certify_flags_gain():
