@@ -403,6 +403,10 @@ def main(argv=None) -> int:
             print(f"dtnstack: --cr-step must be finite and > 0, got {args.cr_step}",
                   file=sys.stderr)
             return 1
+        if args.tol is not None and not (np.isfinite(args.tol) and args.tol > 0):
+            print(f"dtnstack: --tol must be finite and > 0, got {args.tol}",
+                  file=sys.stderr)
+            return 1
         results, anomalies, code = _COMMANDS[args.command](cfg, args)
     except (SingularMatrixError, NumericRangeError) as exc:
         print(f"dtnstack: numerical anomaly: {exc}", file=sys.stderr)

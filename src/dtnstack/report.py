@@ -9,6 +9,7 @@ sidecar file next to the report, excluded from any byte comparison.
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,11 +30,12 @@ PACKAGE_VERSION = "0.1.0"
 
 
 def _fmt_float(x: float) -> str:
-    if np.isnan(x):
+    x = float(x)
+    if math.isfinite(x):
+        return format(x, ".17g")
+    if math.isnan(x):
         return '"nan"'
-    if np.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(float(x), ".17g")
+    return '"inf"' if x > 0 else '"-inf"'
 
 
 def to_jsonable(obj):

@@ -22,6 +22,7 @@ import numpy as np
 from .analyticity import _stencil, _stencil_residual, scalar_sample
 from .dtn import DtnMap
 from .exceptions import ContractError, DomainError, ParameterError, SingularMatrixError
+from .herglotz import _require_hermitian
 from .linalg import as_cmatrix, condition_1norm, hermitian_parts, solve
 
 __all__ = [
@@ -42,13 +43,11 @@ __all__ = [
 
 _HERM_RTOL = 1e-12
 
-
-def _require_hermitian(M, name: str = "matrix") -> np.ndarray:
-    A = as_cmatrix(M, name, square=True)
-    scale = max(float(np.linalg.norm(A)), 1.0)
-    if np.linalg.norm(A - A.conj().T) > _HERM_RTOL * scale:
-        raise ContractError(f"{name} must be Hermitian")
-    return (A + A.conj().T) / 2.0
+#: most s-points :func:`herglotz_along_trajectory` hands the builder per call,
+#: each with its four CR-stencil neighbours: bounds a call's temporaries to
+#: this many times those of one s-point (at 16 layers, 640 layer matrices in
+#: one ``mat_exp`` call) whatever the grid size
+TRAJECTORY_BATCH = 8
 
 
 def phi(A) -> np.ndarray:
@@ -245,14 +244,20 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
                               step: float | None = None) -> TrajectoryCertificate:
     """Certify that ``s -> (Lambda(Z(s)) f, f)`` behaves as a Herglotz map.
 
+    The grid is evaluated in chunks of at most :data:`TRAJECTORY_BATCH`
+    s-points, one builder call each. The first error that a chunk's
+    trajectory tensors or builder call raises ends the certification; it may
+    come from any s-point of the chunk.
+
     Parameters
     ----------
     builder : callable
         Maps the tuple of trajectory tensors to a boundary operator
         (typically wrapping the tensor-route pipeline with fixed geometry,
-        wavevector, and constant). It gets tensors of leading shape (5,),
-        an s-point and its four CR-stencil neighbours, and must return the
-        batched (5, 6, 6) map, as :func:`~dtnstack.dtn.dtn_from_tensors` does.
+        wavevector, and constant). It gets tensors of leading shape (k, 5),
+        k ≤ :data:`TRAJECTORY_BATCH` s-points each with its four CR-stencil
+        neighbours, and must return the batched (k, 5, 6, 6) map, as
+        :func:`~dtnstack.dtn.dtn_from_tensors` does.
     spec : TrajectorySpec
     f : array_like
         Tangential 6-vector sample direction.
@@ -267,12 +272,13 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
     if not len(s_grid):
         raise ParameterError("s_grid must be nonempty")
 
+    stencils, steps = map(np.array, zip(*(_stencil(complex(s), step) for s in s_grid)))
     values, residuals = [], []
-    for s in s_grid:
-        stencil, h = _stencil(complex(s), step)
-        v = scalar_sample(builder(trajectory_point(spec, stencil)), f)
-        values.append(complex(v[0]))
-        residuals.append(float(_stencil_residual(*v[1:], h)))
+    for start in range(0, len(stencils), TRAJECTORY_BATCH):
+        chunk = slice(start, start + TRAJECTORY_BATCH)
+        v = scalar_sample(builder(trajectory_point(spec, stencils[chunk])), f)
+        values.extend(v[:, 0].tolist())
+        residuals.extend(_stencil_residual(*v[:, 1:].T, steps[chunk]).tolist())
     min_im = min(v.imag for v in values)
     worst_cr = max(residuals)
     passed = bool(min_im > 0.0 and worst_cr < cr_tol)

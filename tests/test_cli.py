@@ -109,6 +109,18 @@ def test_bad_cr_step_is_named_usage_error(tmp_path, capsys, command, step):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["certify", "sweep", "energy", "trajectory"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_bad_tol_is_named_usage_error(tmp_path, capsys, command, tol):
+    # nan and negative tolerances used to fail every check with no anomaly,
+    # inf passed every check vacuously
+    assert run_cli([command, "--config", VACUUM, "--out", tmp_path,
+                    "--tol", tol]) == 1
+    assert "--tol must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_quad_points_upper_bound(tmp_path, capsys, monkeypatch):
     # rejected before the quadrature allocates anything
     def refuse(*args, **kwargs):

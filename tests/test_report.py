@@ -7,6 +7,7 @@ import pytest
 from dtnstack.analyticity import PointRecord
 from dtnstack.report import (
     SWEEP_COLUMNS,
+    _fmt_float,
     dumps_deterministic,
     emit_report,
     make_report_body,
@@ -36,6 +37,15 @@ def test_dumps_handles_nonfinite():
     s = dumps_deterministic({"x": math.inf, "y": math.nan, "z": -math.inf})
     d = json.loads(s)
     assert d["x"] == "inf" and d["z"] == "-inf" and d["y"] == "nan"
+
+
+def test_fmt_float_frozen():
+    assert _fmt_float(math.nan) == '"nan"'
+    assert _fmt_float(math.inf) == '"inf"'
+    assert _fmt_float(-math.inf) == '"-inf"'
+    assert _fmt_float(-0.0) == "-0"
+    assert _fmt_float(np.float64(0.1)) == "0.10000000000000001"
+    assert _fmt_float(1e-300) == "1e-300"
 
 
 def test_dumps_is_reproducible():

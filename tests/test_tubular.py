@@ -21,7 +21,8 @@ from dtnstack import (
     trajectory_point,
     trajectory_roundtrip,
 )
-from dtnstack.analyticity import default_cr_step
+from dtnstack.analyticity import _stencil, _stencil_residual, default_cr_step
+from dtnstack.tubular import TRAJECTORY_BATCH
 from generators import rand_hermitian, rand_posdef
 
 
@@ -242,3 +243,52 @@ def test_herglotz_along_trajectory_matches_per_point_reference(rng):
     for v, r in zip(cert.values, ref):
         assert abs(v - r) <= 1e-13 * abs(r)
     assert cert.worst_cr == pytest.approx(worst, rel=1e-3)
+
+
+def _two_layer_trajectory(rng):
+    eps = rand_hermitian(rng, 3) + 1.2j * rand_posdef(rng, 3)
+    mu = rand_hermitian(rng, 3) + 1.2j * rand_posdef(rng, 3)
+    spec = trajectory_coeffs(rand_hermitian(rng, 3).real, [eps, mu])
+
+    def builder(tensors):
+        we, wm = tensors
+        return dtn_from_tensors([(0.5, we, wm), (0.3, wm, we)], (0.4, -0.3))[0]
+
+    return spec, builder
+
+
+def test_herglotz_along_trajectory_chunks_match_per_point(rng):
+    # more than two chunks, the last one partial, against one builder call
+    # per s-point and its stencil
+    spec, builder = _two_layer_trajectory(rng)
+    f = np.array([1.0, 0.5j, 0.0, -0.3, 0.2, 0.0])
+    n = 2 * TRAJECTORY_BATCH + 3
+    s_grid = list(rng.uniform(-1, 1, n) + 1j * rng.uniform(0.2, 1.5, n))
+    cert = herglotz_along_trajectory(builder, spec, f, s_grid)
+
+    values, residuals = [], []
+    for s in s_grid:
+        stencil, h = _stencil(complex(s))
+        v = scalar_sample(builder(trajectory_point(spec, stencil)), f)
+        values.append(complex(v[0]))
+        residuals.append(float(_stencil_residual(*v[1:], h)))
+    assert cert.values == tuple(values)
+    assert cert.worst_cr == max(residuals)
+    assert cert.min_im == min(v.imag for v in values)
+
+
+def test_herglotz_along_trajectory_raises_from_last_chunk(rng):
+    spec, builder = _two_layer_trajectory(rng)
+    s_grid = [complex(0.1 * k, 1.0) for k in range(TRAJECTORY_BATCH + 2)]
+    calls = []
+
+    def failing(tensors):
+        calls.append(tensors[0].shape[:-2])
+        if len(calls) == 2:
+            raise SingularMatrixError("singular in the last chunk")
+        return builder(tensors)
+
+    with pytest.raises(SingularMatrixError, match="last chunk"):
+        herglotz_along_trajectory(failing, spec, np.array([1.0, 0, 0, 0, 0, 0]),
+                                  s_grid)
+    assert calls == [(TRAJECTORY_BATCH, 5), (2, 5)]
