@@ -4,7 +4,6 @@ anisotropic layered media."""
 from .analyticity import (
     AnalyticityReport,
     HerglotzCertificate,
-    cauchy_residual,
     certify_point,
     cr_residual,
     herglotz_certify,
@@ -57,8 +56,6 @@ from .herglotz import (
 from .linalg import (
     HermitianPair,
     hermitian_parts,
-    is_positive_definite,
-    join_blocks,
     mat_exp,
     solve,
     split_blocks,
@@ -73,7 +70,6 @@ from .transfer import (
     layer_propagator,
     normal_components,
     transfer,
-    transfer_from_tensors,
 )
 from .tubular import (
     TrajectorySpec,

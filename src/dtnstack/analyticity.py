@@ -1,14 +1,9 @@
 """Numerical surrogates for analyticity and Herglotz certification.
 
-Analyticity cannot be proven from samples; it is *probed* with two
-complementary residuals:
-
-* the Cauchy–Riemann residual — a central-difference estimate of
-  ``2 ∂f/∂conj(z)``, which vanishes to O(h²) for holomorphic ``f`` and
-  reproduces the size of any conj-contamination;
-* the Cauchy circle-mean residual — ``|f(z0) - mean of f on a circle|``,
-  which vanishes for holomorphic ``f`` by the mean-value property (used only
-  alongside the CR residual; on its own it cannot refute anything).
+Analyticity cannot be proven from samples; it is *probed* with the
+Cauchy–Riemann residual — a central-difference estimate of
+``2 ∂f/∂conj(z)``, which vanishes to O(h²) for holomorphic ``f`` and
+reproduces the size of any conj-contamination.
 
 The certificates in this module sweep boundary operators over grids in the
 open upper half-plane, recording positivity margins of ``Im`` on the
@@ -35,7 +30,6 @@ __all__ = [
     "HerglotzCertificate",
     "PointRecord",
     "cr_residual",
-    "cauchy_residual",
     "omega_grid_points",
     "certify_point",
     "herglotz_certify",
@@ -88,25 +82,6 @@ def cr_residual(fn: Callable[[complex], complex], z0, h: float | None = None) ->
         raise ParameterError(f"stencil step must be > 0, got {h}")
     vals = [complex(fn(z0 + d)) for d in (h, -h, 1j * h, -1j * h)]
     return float(_stencil_residual(*vals, h))
-
-
-def cauchy_residual(fn: Callable[[complex], complex], z0, radius: float,
-                    n_points: int = 64) -> float:
-    """Circle mean-value residual ``|f(z0) - mean_{|w-z0|=r} f(w)| / scale``.
-
-    Zero (to quadrature accuracy) when ``fn`` is holomorphic on the closed
-    disc. A small value alone proves nothing — always pair it with
-    :func:`cr_residual`.
-    """
-    z0 = complex(z0)
-    if not (radius > 0):
-        raise ParameterError(f"radius must be > 0, got {radius}")
-    if n_points < 4:
-        raise ParameterError(f"need at least 4 circle points, got {n_points}")
-    theta = 2.0 * np.pi * np.arange(n_points) / n_points
-    ring = np.mean([complex(fn(z0 + radius * np.exp(1j * t))) for t in theta])
-    center = complex(fn(z0))
-    return float(abs(center - ring) / max(abs(center), 1.0))
 
 
 def scalar_sample(L: DtnMap, f):

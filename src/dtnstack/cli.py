@@ -6,13 +6,14 @@ Subcommands::
     dtnstack dtn        --config cfg.json [--out DIR]
     dtnstack certify    --config cfg.json [--out DIR] [--tol T] [--cr-step H]
     dtnstack energy     --config cfg.json [--out DIR] [--tol T] [--quad-points N]
-    dtnstack sweep      --config cfg.json [--out DIR] [--cr-step H]
+    dtnstack sweep      --config cfg.json [--out DIR] [--tol T] [--cr-step H]
     dtnstack trajectory --config cfg.json [--out DIR] [--tol T] [--cr-step H]
 
-Exit codes: 0 success, 1 usage or input error, 2 certification failure or
-numerical anomaly. Every successful run writes a deterministic
-``report.json`` (plus a ``run_meta.json`` timestamp sidecar, and
-``sweep.csv`` for sweeps) into the output directory.
+Exit codes: 0 success, 1 usage or input error (including a flag the command
+does not read), 2 certification failure or numerical anomaly. Every
+successful run writes a deterministic ``report.json`` (plus a
+``run_meta.json`` timestamp sidecar, and ``sweep.csv`` for sweeps) into the
+output directory.
 
 Config document::
 
@@ -55,10 +56,10 @@ from .report import emit_report, make_report_body, write_sweep_csv
 from .stack import StackSpec, _fail, parse_stack
 from .transfer import transfer
 from .tubular import (
+    _roundtrip_deviation,
     herglotz_along_trajectory,
     trajectory_coeffs,
     trajectory_point,
-    trajectory_roundtrip,
 )
 
 __all__ = ["main", "RunConfig"]
@@ -316,19 +317,20 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[dict, list, int]:
         "cr_tol": cr_tol,
         "cr_step": args.cr_step,
     }
-    return results, list(hc.anomalies), 0 if not hc.anomalies else 2
+    return results, list(hc.anomalies), 0 if hc.passed else 2
 
 
 def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list, int]:
     cr_tol = args.tol if args.tol is not None else 1e-5
     labels, phase_of_layer, Z = phase_tensors(cfg.stack, cfg.traj_omega)
     builder = partial(phase_dtn, cfg.stack, cfg.kappa, phase_of_layer)
-    roundtrip = trajectory_roundtrip(cfg.traj_L0, Z)
     spec = trajectory_coeffs(cfg.traj_L0, Z)
+    back = trajectory_point(spec, 1j)
+    roundtrip = _roundtrip_deviation(Z, back)
     cert = herglotz_along_trajectory(builder, spec, cfg.f, cfg.grid,
                                      cr_tol=cr_tol, step=args.cr_step)
     sample_orig = scalar_sample(builder(Z), cfg.f)
-    sample_back = scalar_sample(builder(trajectory_point(spec, 1j)), cfg.f)
+    sample_back = scalar_sample(builder(back), cfg.f)
     sample_dev = abs(sample_back - sample_orig) / max(abs(sample_orig), 1.0)
     passed = cert.passed and roundtrip <= 1e-12
     results = {
@@ -362,24 +364,34 @@ def _build_parser() -> _Parser:
                      description="Transfer matrices, boundary operators, and "
                                  "passivity certification for layered media.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "transfer": "compute a transfer matrix at one frequency",
-        "dtn": "compute and certify the boundary operator at one frequency",
-        "certify": "sweep a frequency grid and certify positivity/analyticity",
-        "energy": "check the energy-conservation identity for one solution",
-        "sweep": "sweep a frequency grid and write per-point data as CSV",
-        "trajectory": "certify scalar samples along a material trajectory",
+    flags = {
+        "--tol": dict(type=float,
+                      help="certification tolerance (CR residual or energy gap)"),
+        "--quad-points": dict(type=int, dest="quad_points",
+                              help="quadrature point count for energy checks"),
+        "--cr-step": dict(type=float, dest="cr_step",
+                          help="CR stencil width (default: 1e-4 scaled by |omega|)"),
     }
-    for name, h in helps.items():
+    commands = {
+        "transfer": ("compute a transfer matrix at one frequency", ()),
+        "dtn": ("compute and certify the boundary operator at one frequency", ()),
+        "certify": ("sweep a frequency grid and certify positivity/analyticity",
+                    ("--tol", "--cr-step")),
+        "energy": ("check the energy-conservation identity for one solution",
+                   ("--tol", "--quad-points")),
+        "sweep": ("sweep a frequency grid and write per-point data as CSV",
+                  ("--tol", "--cr-step")),
+        "trajectory": ("certify scalar samples along a material trajectory",
+                       ("--tol", "--cr-step")),
+    }
+    for name, (h, reads) in commands.items():
         p = sub.add_parser(name, help=h)
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="certification tolerance (CR residual or energy gap)")
-        p.add_argument("--quad-points", type=int, default=2000, dest="quad_points",
-                       help="quadrature point count for energy checks")
-        p.add_argument("--cr-step", type=float, default=None, dest="cr_step",
-                       help="CR stencil width (default: 1e-4 scaled by |omega|)")
+        for flag in reads:
+            p.add_argument(flag, **flags[flag])
+        # a flag the command does not read keeps its default for main's checks
+        p.set_defaults(tol=None, quad_points=2000, cr_step=None)
     return parser
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "gamma",
     "lambda_map",
     "dtn",
-    "boundary_operators",
     "dtn_from_tensors",
     "apply_dtn",
     "energy_balance",
@@ -81,10 +80,6 @@ class FluxForm:
     """Hermitian flux form ``J - T* J T`` of a transfer matrix."""
 
     matrix: np.ndarray
-
-    @property
-    def blocks(self):
-        return split_blocks(self.matrix)
 
     @property
     def min_eig(self) -> float:
@@ -312,16 +307,6 @@ def _certified_inputs(kappa, omegas, z0: float,
     return w, k
 
 
-def boundary_operators(stack: StackSpec, kappa, omegas, z0: float,
-                       z1: float) -> tuple[np.ndarray, DtnCertificate]:
-    """Boundary operators of the slab ``[z0, z1]`` at frequencies ``omegas``
-    (all with ``Im omega > 0``) from one batched propagation: the matrices,
-    shape (n, 6, 6), and the certificate (see :func:`dtn`) of the first."""
-    w, k = _certified_inputs(kappa, np.reshape(omegas, -1), z0, z1)
-    thickness, we, wm = resolve_stack(stack, w)
-    return _certified_dtn(thickness, we, wm, k, stack.c, stack.z_min, z0, z1)
-
-
 def dtn(stack: StackSpec, kappa, omega, z0: float, z1: float) -> tuple[DtnMap, DtnCertificate]:
     """Boundary operator of the slab ``[z0, z1]`` with its certificate.
 
@@ -343,7 +328,8 @@ def dtn(stack: StackSpec, kappa, omega, z0: float, z1: float) -> tuple[DtnMap, D
         ``Im`` of the tangential compression. Theorem-contradicting outcomes
         are reported in ``certificate.anomalies`` rather than raised.
     """
-    L, cert = boundary_operators(stack, kappa, [complex(omega)], z0, z1)
+    w, k = _certified_inputs(kappa, [complex(omega)], z0, z1)
+    L, cert = _certified_dtn(*resolve_stack(stack, w), k, stack.c, stack.z_min, z0, z1)
     return DtnMap(float(z0), float(z1), L[0]), cert
 
 
@@ -444,14 +430,9 @@ def energy_balance(stack: StackSpec, psi0, kappa, omega,
     -------
     EnergyReport
     """
-    w = complex(omega)
-    if w.imag <= 0.0:
-        raise DomainError(f"omega must satisfy Im omega > 0, got {w}")
-    k = _validate_kappa_real(kappa)
     z0 = stack.z_min if z0 is None else float(z0)
     z1 = stack.z_max if z1 is None else float(z1)
-    if not z0 < z1:
-        raise GeometryError(f"need z0 < z1, got z0={z0}, z1={z1}")
+    w, k = _certified_inputs(kappa, complex(omega), z0, z1)
     if n_points < 1:
         raise DomainError(f"n_points must be >= 1, got {n_points}")
 

@@ -15,28 +15,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (
-    ContractError,
-    DimensionError,
-    NumericRangeError,
-    SingularMatrixError,
-)
+from .exceptions import DimensionError, NumericRangeError, SingularMatrixError
 
 __all__ = [
     "HermitianPair",
-    "PosDefCheck",
     "as_cmatrix",
     "hermitian_parts",
-    "is_positive_definite",
     "mat_exp",
     "solve",
     "condition_1norm",
     "split_blocks",
-    "join_blocks",
 ]
-
-#: relative asymmetry tolerated before a "Hermitian" input is rejected
-HERMITIAN_ASYMMETRY_RTOL = 1e-12
 
 #: 1-norm condition number beyond which solves are refused
 SINGULAR_CONDITION_LIMIT = 1e12
@@ -47,13 +36,6 @@ class HermitianPair(NamedTuple):
 
     real: np.ndarray
     imag: np.ndarray
-
-
-class PosDefCheck(NamedTuple):
-    """Result of a positive-definiteness test."""
-
-    ok: bool
-    min_eig: float
 
 
 def as_cmatrix(M, name: str = "matrix", shape: tuple | None = None,
@@ -99,38 +81,6 @@ def hermitian_parts(M) -> HermitianPair:
     A = as_cmatrix(M, "M", square=True, batch=True)
     Ah = np.swapaxes(A, -1, -2).conj()
     return HermitianPair((A + Ah) / 2.0, (A - Ah) / 2.0j)
-
-
-def _symmetrized(H: np.ndarray, name: str) -> np.ndarray:
-    """Return the Hermitian symmetrization of ``H``; reject real asymmetry."""
-    scale = np.linalg.norm(H)
-    asym = np.linalg.norm(H - H.conj().T)
-    if scale > 0 and asym > HERMITIAN_ASYMMETRY_RTOL * scale:
-        raise ContractError(
-            f"{name} is not Hermitian (relative asymmetry {asym / scale:.3e})"
-        )
-    return (H + H.conj().T) / 2.0
-
-
-def is_positive_definite(H, tol: float | None = None) -> PosDefCheck:
-    """Test a Hermitian matrix for positive definiteness.
-
-    The matrix is symmetrized first; asymmetry beyond ``1e-12`` relative is a
-    contract violation. The verdict compares the smallest eigenvalue of the
-    symmetrized matrix against ``tol`` (default ``1e-10 * ||H||_2``).
-
-    Returns
-    -------
-    PosDefCheck
-        ``ok`` (smallest eigenvalue strictly above the tolerance) and
-        ``min_eig``.
-    """
-    A = _symmetrized(as_cmatrix(H, "H", square=True), "H")
-    eigs = np.linalg.eigvalsh(A)
-    min_eig = float(eigs[0])
-    if tol is None:
-        tol = 1e-10 * float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return PosDefCheck(bool(min_eig > tol), min_eig)
 
 
 #: Padé coefficients by degree, and the largest 1-norm at which each unscaled
@@ -259,13 +209,3 @@ def split_blocks(M) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return (A[:h, :h].copy(), A[:h, h:].copy(),
             A[h:, :h].copy(), A[h:, h:].copy())
 
-
-def join_blocks(M11, M12, M21, M22) -> np.ndarray:
-    """Assemble four equal-sized square blocks into one matrix."""
-    blocks = [as_cmatrix(B, f"M{ij}", square=True)
-              for ij, B in (("11", M11), ("12", M12), ("21", M21), ("22", M22))]
-    h = blocks[0].shape[0]
-    for ij, B in zip(("11", "12", "21", "22"), blocks):
-        if B.shape != (h, h):
-            raise DimensionError(f"block M{ij} has shape {B.shape}, expected {(h, h)}")
-    return np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])

@@ -30,6 +30,7 @@ from .herglotz import (
     MaterialSpec,
     ResponseModel,
 )
+from .report import to_jsonable
 
 __all__ = [
     "Layer",
@@ -156,11 +157,6 @@ def _cmat_from_json(obj, key: str, dim: int = 3) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _cmat_to_json(M: np.ndarray) -> list:
-    A = np.asarray(M, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in A]
-
-
 def model_from_json(obj: dict, key: str, dim: int = 3) -> ResponseModel:
     """Decode one response model document (see module docstring for kinds)."""
     kind = _get(obj, "kind", key)
@@ -200,16 +196,16 @@ def model_from_json(obj: dict, key: str, dim: int = 3) -> ResponseModel:
 def model_to_json(model: ResponseModel) -> dict:
     """Encode a response model back to its JSON document."""
     if isinstance(model, ConstantModel):
-        return {"kind": "constant", "value": _cmat_to_json(model.value)}
+        return {"kind": "constant", "value": to_jsonable(model.value)}
     if isinstance(model, DrudeModel):
         return {"kind": "drude", "plasma_freq": model.plasma_freq,
                 "collision_rate": model.collision_rate}
     if isinstance(model, HerglotzModel):
         return {"kind": "herglotz_discrete",
-                "alpha": _cmat_to_json(model.alpha),
-                "beta": _cmat_to_json(model.beta),
+                "alpha": to_jsonable(model.alpha),
+                "beta": to_jsonable(model.beta),
                 "poles": [float(p) for p in model.poles],
-                "weights": [_cmat_to_json(W) for W in model.weights]}
+                "weights": to_jsonable(model.weights)}
     raise ParameterError(f"cannot serialize model of type {type(model).__name__}")
 
 

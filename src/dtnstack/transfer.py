@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import GeometryError, NumericRangeError, SingularMatrixError
 from .herglotz import eval_response
-from .linalg import as_cmatrix, mat_exp, solve, split_blocks
+from .linalg import as_cmatrix, mat_exp, solve
 from .stack import StackSpec, locate
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "layer_propagator",
     "propagate",
     "transfer",
-    "transfer_from_tensors",
     "field_profile",
 ]
 
@@ -185,11 +184,6 @@ class TransferMatrix:
     z1: float
     matrix: np.ndarray
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """2×2 blocks ``(T11, T12, T21, T22)`` splitting (E1,E2) ⊕ (H1,H2)."""
-        return split_blocks(self.matrix)
-
 
 def transfer(stack: StackSpec, kappa, omega, z0: float, z1: float) -> TransferMatrix:
     """Transfer matrix of the stack between two coordinates.
@@ -205,29 +199,6 @@ def transfer(stack: StackSpec, kappa, omega, z0: float, z1: float) -> TransferMa
     if z0 > z1:
         T = solve(T, np.eye(4, dtype=complex))
     return TransferMatrix(float(z0), float(z1), T)
-
-
-def transfer_from_tensors(layer_tensors, kappa, c: float = 1.0,
-                          z_min: float = 0.0) -> TransferMatrix:
-    """Transfer matrix across explicitly resolved layers.
-
-    Parameters
-    ----------
-    layer_tensors : sequence of (thickness, omega_eps, omega_mu)
-        Already-evaluated response tensors per layer, bottom to top.
-    kappa : sequence of two scalars
-    c : float
-    z_min : float
-        Coordinate of the bottom face (affects only the stored endpoints).
-
-    Returns
-    -------
-    TransferMatrix
-        ``T(z_min, z_max)`` across the whole resolved stack.
-    """
-    t, we, wm = zip(*layer_tensors)
-    T = propagate(t, np.stack(we), np.stack(wm), kappa, c)
-    return TransferMatrix(float(z_min), float(np.cumsum((z_min,) + t)[-1]), T)
 
 
 def field_profile(stack: StackSpec, psi0, kappa, omega, zs,

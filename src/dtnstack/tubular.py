@@ -22,7 +22,7 @@ import numpy as np
 from .analyticity import _stencil, _stencil_residual, scalar_sample
 from .dtn import DtnMap
 from .exceptions import ContractError, DomainError, ParameterError, SingularMatrixError
-from .herglotz import _require_hermitian
+from .herglotz import _PSD_RTOL, _require_hermitian
 from .linalg import as_cmatrix, condition_1norm, hermitian_parts, solve
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "herglotz_along_trajectory",
     "TrajectoryCertificate",
 ]
-
-_HERM_RTOL = 1e-12
 
 #: most s-points :func:`herglotz_along_trajectory` hands the builder per call,
 #: each with its four CR-stencil neighbours: bounds a call's temporaries to
@@ -149,7 +147,7 @@ class TrajectorySpec:
 
     def __post_init__(self):
         L0 = _require_hermitian(self.L0, "L0")
-        if np.linalg.norm(L0.imag) > _HERM_RTOL * max(np.linalg.norm(L0), 1.0):
+        if np.linalg.norm(L0.imag) > _PSD_RTOL * max(np.linalg.norm(L0), 1.0):
             raise ContractError("L0 must be real symmetric")
         object.__setattr__(self, "L0", L0.real.astype(float))
         object.__setattr__(self, "coeffs", tuple(
@@ -219,7 +217,11 @@ def trajectory_roundtrip(L0, tensors: Sequence) -> float:
     ``max_j ||L'_j(i) - L_j|| / max(1, ||L_j||)``.
     """
     spec = trajectory_coeffs(L0, tensors)
-    back = trajectory_point(spec, 1j)
+    return _roundtrip_deviation(tensors, trajectory_point(spec, 1j))
+
+
+def _roundtrip_deviation(tensors: Sequence, back: Sequence) -> float:
+    """``max_j ||back_j - L_j|| / max(1, ||L_j||)`` over the tensors ``L_j``."""
     worst = 0.0
     for L, R in zip(tensors, back):
         L = np.asarray(L, dtype=complex)

@@ -9,7 +9,6 @@ from dtnstack import (
     NumericRangeError,
     ParameterError,
     StackSpec,
-    cauchy_residual,
     certify_point,
     cr_residual,
     dtn,
@@ -65,26 +64,6 @@ def test_cr_residual_parameter_checks():
 def test_default_cr_step():
     assert default_cr_step(0.1j) == pytest.approx(1e-4)
     assert default_cr_step(3 + 4j) == pytest.approx(5e-4)
-
-
-def test_cauchy_residual_analytic_frozen():
-    # 1/(z-2) is holomorphic on the closed unit disc; the trapezoidal
-    # circle mean converges geometrically, so 64 points reach rounding.
-    assert cauchy_residual(lambda z: 1.0 / (z - 2.0), 0.0, 1.0) < 1e-12
-
-
-def test_cauchy_residual_nonanalytic_frozen():
-    # |z|^2 at z0 = 0.5 with radius 0.3: the circle mean exceeds the center
-    # value by exactly r^2 (the cross term averages to zero).
-    res = cauchy_residual(lambda z: abs(z)**2, 0.5, 0.3)
-    assert res == pytest.approx(0.09, abs=1e-12)
-
-
-def test_cauchy_residual_parameter_checks():
-    with pytest.raises(ParameterError):
-        cauchy_residual(np.exp, 0.0, radius=0.0)
-    with pytest.raises(ParameterError):
-        cauchy_residual(np.exp, 0.0, radius=1.0, n_points=3)
 
 
 # ----------------------------------------------------------- scalar sampling

@@ -1,4 +1,6 @@
+import importlib
 import json
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import dtnstack
 from dtnstack.cli import main, parse_run_config
 from dtnstack.exceptions import StackParseError
 
@@ -89,6 +92,22 @@ def test_overflowing_model_response_is_input_error(tmp_path, capsys, command):
     p.write_text(json.dumps(doc))
     assert run_cli([command, "--config", p, "--out", tmp_path]) == 1
     assert "model response is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+FLAG_VALUES = {"--tol": "1e-3", "--cr-step": "1e-4", "--quad-points": "2000"}
+FLAGS_READ = {"transfer": (), "dtn": (), "certify": ("--tol", "--cr-step"),
+              "energy": ("--tol", "--quad-points"), "sweep": ("--tol", "--cr-step"),
+              "trajectory": ("--tol", "--cr-step")}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, reads in FLAGS_READ.items()
+                                           for f in FLAG_VALUES if f not in reads])
+def test_flag_a_command_does_not_read_is_usage_error(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--config", VACUUM, "--out", tmp_path, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -178,6 +197,17 @@ def test_report_bodies_byte_identical_across_runs(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+@pytest.mark.parametrize("config, extra", [(GAIN, []), (VACUUM, ["--tol", "1e-30"])],
+                         ids=["gain", "tol"])
+def test_sweep_fails_as_certify_does(tmp_path, capsys, config, extra):
+    # sweep gives the verdict certify gives, whichever check fails
+    assert run_cli(["sweep", "--config", config, "--out", tmp_path, *extra]) == 2
+    assert "[sweep] FAIL" in capsys.readouterr().out
+    res = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert res["min_im_eig"] <= 0 or res["worst_cr"] >= res["cr_tol"]
+    assert (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_csv_written(tmp_path):
     assert run_cli(["sweep", "--config", VACUUM, "--out", tmp_path]) == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
@@ -251,6 +281,12 @@ def test_console_script_installed(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "[certify] PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(dtnstack.__path__)])
+def test_every_export_resolves(module):
+    mod = importlib.import_module(f"dtnstack.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 # -------------------------------------------------------------- config parsing

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dtnstack import (
-    ContractError,
     DimensionError,
     NumericRangeError,
     SingularMatrixError,
@@ -11,8 +10,6 @@ from dtnstack.linalg import (
     as_cmatrix,
     condition_1norm,
     hermitian_parts,
-    is_positive_definite,
-    join_blocks,
     mat_exp,
     solve,
     split_blocks,
@@ -43,20 +40,6 @@ def test_as_cmatrix_rejects_bad_inputs():
         as_cmatrix(np.zeros((2, 2)), "m", shape=(3, 3))
     with pytest.raises(NumericRangeError):
         as_cmatrix(np.array([[np.nan, 0], [0, 1]]), "m")
-
-
-def test_positive_definite_basic():
-    assert is_positive_definite(np.diag([1.0, 2.0])).ok
-    res = is_positive_definite(np.diag([1.0, -0.5]))
-    assert not res.ok
-    assert res.min_eig == pytest.approx(-0.5)
-    # Semidefinite fails the strict check.
-    assert not is_positive_definite(np.diag([1.0, 0.0])).ok
-
-
-def test_positive_definite_rejects_nonhermitian():
-    with pytest.raises(ContractError):
-        is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_mat_exp_rotation_closed_form():
@@ -157,7 +140,7 @@ def test_split_join_roundtrip(rng):
     M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     blocks = split_blocks(M)
     assert blocks[0].shape == (3, 3)
-    assert np.array_equal(join_blocks(*blocks), M)
+    assert np.array_equal(np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]]), M)
 
 
 def test_split_blocks_odd_size_rejected():

@@ -15,7 +15,6 @@ from dtnstack import (
     layer_propagator,
     normal_components,
     transfer,
-    transfer_from_tensors,
 )
 from dtnstack.transfer import J, resolve_layers
 from generators import (
@@ -156,15 +155,6 @@ def test_transfer_layer_ordering(rng):
     T = transfer(s, kap, om, 0.0, 1.5).matrix
     assert np.allclose(T, P2 @ P1, rtol=1e-12, atol=1e-13)
     assert not np.allclose(T, P1 @ P2, atol=1e-6)  # order actually matters
-
-
-def test_transfer_from_tensors_matches_stack_route(rng):
-    s = rand_stack(rng, max_layers=3)
-    kap, om = rand_kappa(rng), rand_omega(rng)
-    tensors = resolve_layers(s, om)
-    T1 = transfer(s, kap, om, s.z_min, s.z_max).matrix
-    T2 = transfer_from_tensors(tensors, kap, c=s.c, z_min=s.z_min).matrix
-    assert np.allclose(T1, T2, atol=1e-13)
 
 
 def test_transfer_accepts_complex_kappa():
