@@ -49,7 +49,6 @@ from .herglotz import (
     eval_herglotz,
     make_constant,
     make_drude,
-    material_response,
     passivity_check,
     vacuum_material,
 )

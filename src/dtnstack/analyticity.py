@@ -18,10 +18,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .dtn import (TANGENTIAL_INDICES, DtnCertificate, DtnMap, _certified_dtn,
-                  _certified_inputs, dtn_from_tensors)
+                  _certified_inputs, _tensor_dtn)
 from .exceptions import DomainError, ParameterError
-from .herglotz import material_response
-from .linalg import as_cmatrix, hermitian_parts
+from .linalg import as_cmatrix, min_im_eig
 from .stack import StackSpec
 from .transfer import resolve_stack
 
@@ -46,6 +45,9 @@ __all__ = [
 #: grid size
 RESOLVE_BATCH = 2048
 
+#: CR stencil points ``z + h * CR_OFFSETS`` (centre first) for step ``h``
+CR_OFFSETS = np.array([0.0, 1.0, -1.0, 1j, -1j])
+
 
 def default_cr_step(z0: complex) -> float:
     """Default stencil step ``1e-4 * max(1, |z0|)``."""
@@ -53,18 +55,19 @@ def default_cr_step(z0: complex) -> float:
 
 
 def _stencil(z: complex, step: float | None = None) -> tuple[np.ndarray, float]:
-    """The CR stencil ``z + [0, h, -h, ih, -ih]`` and its step ``h``:
-    ``step`` (default :func:`default_cr_step`) clamped to ``Im z / 2``, so
-    the stencil stays in the upper half-plane."""
+    """The CR stencil ``z + h * CR_OFFSETS`` and its step ``h``: ``step``
+    (default :func:`default_cr_step`) clamped to ``Im z / 2``, so the
+    stencil stays in the upper half-plane."""
     h = min(default_cr_step(z) if step is None else float(step), 0.5 * z.imag)
-    return z + np.array([0.0, h, -h, 1j * h, -1j * h]), h
+    return z + h * CR_OFFSETS, h
 
 
-def _stencil_residual(fp, fm, fip, fim, h: float):
-    """CR residual from the four stencil values (array-valued allowed)."""
-    deriv = (np.asarray(fp) - np.asarray(fm)) / (2.0 * h) \
-        + 1j * (np.asarray(fip) - np.asarray(fim)) / (2.0 * h)
-    scale = np.maximum.reduce([np.abs(np.asarray(v)) for v in (fp, fm, fip, fim)])
+def _stencil_residual(f, h):
+    """CR residual from the values ``f`` at the :data:`CR_OFFSETS` stencil
+    points, along the first axis; further axes and ``h`` broadcast."""
+    _, fp, fm, fip, fim = np.asarray(f)
+    deriv = (fp - fm) / (2.0 * h) + 1j * (fip - fim) / (2.0 * h)
+    scale = np.maximum.reduce([np.abs(v) for v in (fp, fm, fip, fim)])
     return np.abs(deriv) / np.maximum(scale, 1.0)
 
 
@@ -80,8 +83,7 @@ def cr_residual(fn: Callable[[complex], complex], z0, h: float | None = None) ->
         h = default_cr_step(z0)
     if not (h > 0):
         raise ParameterError(f"stencil step must be > 0, got {h}")
-    vals = [complex(fn(z0 + d)) for d in (h, -h, 1j * h, -1j * h)]
-    return float(_stencil_residual(*vals, h))
+    return float(_stencil_residual([complex(fn(z)) for z in z0 + h * CR_OFFSETS], h))
 
 
 def scalar_sample(L: DtnMap, f):
@@ -149,7 +151,7 @@ def _certified_points(stack: StackSpec, kappa, grid: Sequence[complex],
             L, cert = _certified_dtn(thickness, we[i], wm[i], k, stack.c,
                                      stack.z_min, z0, z1)
             comp = L[:, TANGENTIAL_INDICES][:, :, TANGENTIAL_INDICES]
-            res = _stencil_residual(*comp[1:], h)
+            res = _stencil_residual(comp, h)
             yield PointRecord(w, cert.im_min_eig, float(np.max(res)),
                               cert.well_defined.condition_T12, comp[0]), cert
 
@@ -226,21 +228,23 @@ class AnalyticityReport:
 
 def phase_tensors(stack: StackSpec, omega) -> tuple[list[str], list[int], list[np.ndarray]]:
     """Distinct materials (by label), per-layer phase index, and the tensor
-    tuple ``(omega*eps per phase..., omega*mu per phase...)`` at ``omega``."""
-    labels: list[str] = []
-    phase_of_layer: list[int] = []
-    for ly in stack.layers:
-        if ly.material.label not in labels:
-            labels.append(ly.material.label)
-        phase_of_layer.append(labels.index(ly.material.label))
-    tensors: list[np.ndarray] = [None] * (2 * len(labels))
-    for j, ly in enumerate(stack.layers):
-        p = phase_of_layer[j]
-        if tensors[p] is None:
-            we, wm = material_response(ly.material, omega)
-            tensors[p] = we
-            tensors[len(labels) + p] = wm
-    return labels, phase_of_layer, tensors
+    tuple ``(omega*eps per phase..., omega*mu per phase...)`` at ``omega``
+    (``Im omega > 0``) from each phase's first layer; layers sharing a label
+    must share their tensors."""
+    w = complex(omega)
+    if not w.imag > 0.0:
+        raise DomainError(f"omega must satisfy Im omega > 0, got {w}")
+    _, we, wm = resolve_stack(stack, w)
+    labels = [ly.material.label for ly in stack.layers]
+    phases = list(dict.fromkeys(labels))
+    first = [labels.index(label) for label in phases]
+    for j, label in enumerate(labels):
+        i = labels.index(label)
+        if not (np.array_equal(we[j], we[i]) and np.array_equal(wm[j], wm[i])):
+            raise ParameterError(
+                f"layers {i} and {j} share the label {label!r} but not "
+                f"their material tensors at omega={w}")
+    return phases, [phases.index(label) for label in labels], [*we[first], *wm[first]]
 
 
 def phase_dtn(stack: StackSpec, kappa, phase_of_layer: Sequence[int],
@@ -250,10 +254,8 @@ def phase_dtn(stack: StackSpec, kappa, phase_of_layer: Sequence[int],
 
     Tensors with leading batch axes give a batched map from one propagation
     (see :func:`~dtnstack.dtn.dtn_from_tensors`)."""
-    P = len(Z) // 2
-    layer_tensors = [(ly.thickness, Z[p], Z[P + p])
-                     for ly, p in zip(stack.layers, phase_of_layer)]
-    return dtn_from_tensors(layer_tensors, kappa, stack.c, stack.z_min)[0]
+    return _tensor_dtn([ly.thickness for ly in stack.layers], phase_of_layer, Z,
+                       kappa, stack.c, stack.z_min)[0]
 
 
 def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
@@ -270,12 +272,13 @@ def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
     the mirrored pair ``(E_rc + E_cr)/√2`` and ``i(E_rc - E_cr)/√2`` so that
     the Hermitian/anti-Hermitian split moves consistently — and reports the
     worst CR residual of the watched operator entry at slice parameter 0.
+    Every direction and stencil offset is one batched propagation.
 
     Raises
     ------
     DomainError
         If a base tensor's imaginary part is not positive definite, or the
-        step is so large the perturbed imaginary part loses definiteness.
+        step is so large a perturbed imaginary part loses definiteness.
     """
     labels, phase_of_layer, resolved = phase_tensors(stack, omega)
     P = len(labels)
@@ -287,45 +290,27 @@ def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
         raise ParameterError(f"tensor_index out of range [0, {2 * P})")
     if not (0 <= row < 3 and 0 <= col < 3):
         raise ParameterError("row/col must index a 3×3 tensor")
-    for i, M in enumerate(Z):
-        if np.linalg.eigvalsh(hermitian_parts(M).imag)[0] <= 0.0:
-            raise DomainError(f"Im Z[{i}] must be positive definite at the base point")
-
-    if row == col:
-        D = np.zeros((3, 3), dtype=complex)
-        D[row, col] = 1.0
-        directions = [D]
-    else:
-        Ds = np.zeros((3, 3), dtype=complex)
-        Ds[row, col] = Ds[col, row] = 1.0 / np.sqrt(2.0)
-        Da = np.zeros((3, 3), dtype=complex)
-        Da[row, col] = 1j / np.sqrt(2.0)
-        Da[col, row] = -1j / np.sqrt(2.0)
-        directions = [Ds, Da]
-
+    bad = np.flatnonzero(min_im_eig(np.stack(Z)) <= 0.0)
+    if bad.size:
+        raise DomainError(f"Im Z[{bad[0]}] must be positive definite at the base point")
     h = float(step)
     if not h > 0:
         raise ParameterError(f"step must be > 0, got {step}")
-    base = Z[tensor_index]
-    im_base = hermitian_parts(base).imag
-    for D in directions:
-        for sgn in (1.0, -1.0):
-            shifted = im_base + sgn * h * D  # D Hermitian: Im(t D) = Im(t)·D
-            if np.linalg.eigvalsh(shifted)[0] <= 0.0:
-                raise DomainError(
-                    f"step {h} pushes Im Z[{tensor_index}] out of positive "
-                    f"definiteness; decrease the step")
 
-    # one batched boundary operator per direction for the four stencil offsets
-    offsets = np.array([h, -h, 1j * h, -1j * h])[:, None, None]
-    worst = 0.0
-    for D in directions:
-        Zt = list(Z)
-        Zt[tensor_index] = base + offsets * D
-        vals = phase_dtn(stack, kappa, phase_of_layer, Zt).matrix[:, entry[0], entry[1]]
-        worst = max(worst, float(_stencil_residual(*vals, h)))
+    D = np.zeros((1 if row == col else 2, 3, 3), dtype=complex)
+    if row == col:
+        D[0, row, col] = 1.0
+    else:
+        D[:, (row, col), (col, row)] = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)
+    Zt = list(Z)
+    Zt[tensor_index] = Z[tensor_index] + (h * CR_OFFSETS)[:, None, None] * D[:, None]
+    if np.any(min_im_eig(Zt[tensor_index]) <= 0.0):
+        raise DomainError(f"step {h} pushes Im Z[{tensor_index}] out of positive "
+                          f"definiteness; decrease the step")
+    vals = phase_dtn(stack, kappa, phase_of_layer, Zt).matrix[..., entry[0], entry[1]]
+    worst = float(np.max(_stencil_residual(vals.T, h)))
     what = "eps" if tensor_index < P else "mu"
     phase = labels[tensor_index % P]
     return AnalyticityReport(
         label=f"{what}[{phase}] entry ({row},{col}) -> Lambda[{entry[0]},{entry[1]}]",
-        point=complex(omega), step=h, residual=float(worst))
+        point=complex(omega), step=h, residual=worst)

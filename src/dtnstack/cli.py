@@ -116,7 +116,6 @@ def _cvec(obj, key: str, length: int) -> np.ndarray:
 class RunConfig:
     """Validated run inputs shared by all commands."""
 
-    command: str
     stack: StackSpec
     kappa: tuple[float, float]
     grid: tuple[complex, ...]
@@ -210,7 +209,7 @@ def parse_run_config(doc: dict, command: str) -> RunConfig:
     else:
         traj_omega = grid[0]
 
-    return RunConfig(command, stack, (float(kappa_arr[0]), float(kappa_arr[1])),
+    return RunConfig(stack, (float(kappa_arr[0]), float(kappa_arr[1])),
                      grid, z0, z1, psi0, f, L0, traj_omega, doc)
 
 
@@ -281,10 +280,16 @@ def _cmd_energy(cfg: RunConfig, args) -> tuple[dict, list, int]:
     tol = args.tol if args.tol is not None else 1e-6
     rep = energy_balance(cfg.stack, cfg.psi0, cfg.kappa, cfg.grid[0],
                          cfg.z0, cfg.z1, n_points=args.quad_points)
+    gain = np.flatnonzero(~rep.passivity.ok)
     passed = (rep.relative_gap <= tol and rep.boundary_flux >= 0.0
-              and rep.absorption_integral >= 0.0)
+              and rep.absorption_integral >= 0.0 and gain.size == 0)
     anomalies = []
-    if rep.boundary_flux < 0.0 or rep.absorption_integral < 0.0:
+    if gain.size:
+        j = gain[0]
+        anomalies.append(f"layer {j} is not passive (min eig Im(omega*eps) "
+                         f"{rep.passivity.min_eig_eps[j]:.3e}, Im(omega*mu) "
+                         f"{rep.passivity.min_eig_mu[j]:.3e})")
+    elif rep.boundary_flux < 0.0 or rep.absorption_integral < 0.0:
         anomalies.append(
             f"energy sides must be nonnegative for passive input "
             f"(boundary {rep.boundary_flux:.3e}, absorbed "

@@ -27,6 +27,7 @@ from .linalg import (
     SINGULAR_CONDITION_LIMIT,
     condition_1norm,
     hermitian_parts,
+    min_im_eig,
     solve,
     split_blocks,
 )
@@ -83,8 +84,7 @@ class FluxForm:
 
     @property
     def min_eig(self) -> float:
-        H = (self.matrix + self.matrix.conj().T) / 2.0
-        return float(np.linalg.eigvalsh(H)[0])
+        return float(np.linalg.eigvalsh(hermitian_parts(self.matrix).real)[0])
 
 
 def flux_form(T) -> FluxForm:
@@ -131,11 +131,11 @@ class WellDefinedCertificate(NamedTuple):
     flux_resolution: float
 
 
-def check_well_defined(T, tol: float = 0.0) -> WellDefinedCertificate:
+def check_well_defined(T) -> WellDefinedCertificate:
     """Certify that the boundary operator construction is well posed.
 
     Checks positive definiteness of the flux form (smallest eigenvalue above
-    ``tol``) and invertibility of all four 2×2 blocks of ``T`` (1-norm
+    0) and invertibility of all four 2×2 blocks of ``T`` (1-norm
     condition below the singularity limit). The full condition estimate of
     the pivotal block ``T12`` is reported, together with the numerical
     resolution floor of the flux margin.
@@ -147,7 +147,7 @@ def check_well_defined(T, tol: float = 0.0) -> WellDefinedCertificate:
     conds = condition_1norm(np.stack(split_blocks(M)))
     invertible = tuple(bool(c <= SINGULAR_CONDITION_LIMIT) for c in conds)
     return WellDefinedCertificate(
-        flux_positive=bool(F.min_eig > tol),
+        flux_positive=bool(F.min_eig > 0.0),
         flux_min_eig=F.min_eig,
         blocks_invertible=invertible,
         condition_T12=float(conds[1]),
@@ -274,8 +274,7 @@ def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float
             f"transfer-matrix block numerically singular for passive input "
             f"(cond T12 {wd.condition_T12:.3e})")
     L = _lambda_matrix(_gamma_matrix(T))
-    comp_im = hermitian_parts(L[0, TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES]).imag
-    im_min = float(np.linalg.eigvalsh(comp_im)[0])
+    im_min = float(min_im_eig(L[0, TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES]))
     if passive and wd.flux_positive and im_min <= 0.0:
         anomalies.append(
             f"Im of the tangential compression not positive definite "
@@ -333,6 +332,19 @@ def dtn(stack: StackSpec, kappa, omega, z0: float, z1: float) -> tuple[DtnMap, D
     return DtnMap(float(z0), float(z1), L[0]), cert
 
 
+def _tensor_dtn(thickness, phase_of_layer, Z, kappa, c: float,
+                z_min: float) -> tuple[DtnMap, DtnCertificate]:
+    """:func:`dtn_from_tensors` of layers ``thickness``, layer ``j`` taking phase
+    ``phase_of_layer[j]`` of ``Z`` (omega*eps per phase, then omega*mu per phase)."""
+    k = _validate_kappa_real(kappa)
+    S = np.stack(np.broadcast_arrays(*Z), axis=-3)
+    flat = S.reshape((-1,) + S.shape[-3:])
+    p = np.asarray(phase_of_layer)
+    L, cert = _certified_dtn(thickness, flat[:, p], flat[:, len(Z) // 2 + p], k, c, z_min)
+    return (DtnMap(float(z_min), float(np.cumsum((z_min, *thickness))[-1]),
+                   L.reshape(S.shape[:-3] + (6, 6))), cert)
+
+
 def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0,
                      z_min: float = 0.0) -> tuple[DtnMap, DtnCertificate]:
     """Boundary operator across explicitly resolved layer tensors.
@@ -346,13 +358,8 @@ def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0,
     ``matrix`` has shape ``batch + (6, 6)``, the certificate is entry 0's,
     and every entry passes the ``T12``, normal-block and overflow guards.
     """
-    k = _validate_kappa_real(kappa)
     t, we, wm = zip(*layer_tensors)
-    Z = np.stack(np.broadcast_arrays(*we, *wm), axis=-3)
-    flat = Z.reshape((-1,) + Z.shape[-3:])
-    L, cert = _certified_dtn(t, flat[:, :len(t)], flat[:, len(t):], k, c, z_min)
-    return (DtnMap(float(z_min), float(np.cumsum((z_min,) + t)[-1]),
-                   L.reshape(Z.shape[:-3] + (6, 6))), cert)
+    return _tensor_dtn(t, range(len(t)), we + wm, kappa, c, z_min)
 
 
 def apply_dtn(L: DtnMap, f_top, f_bottom) -> tuple[np.ndarray, np.ndarray]:
@@ -381,12 +388,13 @@ def apply_dtn(L: DtnMap, f_top, f_bottom) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Two sides of the energy-conservation law and their mismatch."""
+    """Energy-law sides, their mismatch, and every layer's passivity margins."""
 
     boundary_flux: float
     absorption_integral: float
     relative_gap: float
     n_points: int
+    passivity: PassivityCertificate
 
 
 def _layer_point_counts(segments: list[float], n_points: int) -> list[int]:
@@ -412,7 +420,7 @@ def energy_balance(stack: StackSpec, psi0, kappa, omega,
     and the absorbed side is the composite-midpoint quadrature of
     ``(1/8π)[(H, Im[omega*mu] H) + (E, Im[omega*eps] E)]`` with the full
     3-component fields. For passive media at ``Im omega > 0`` both sides are
-    positive and equal.
+    positive and equal, so the report also holds the layers' passivity.
 
     Parameters
     ----------
@@ -463,4 +471,4 @@ def energy_balance(stack: StackSpec, psi0, kappa, omega,
     boundary = (stack.c / (16.0 * np.pi)) * (flux[0] - flux[1])
 
     gap = abs(boundary - absorbed) / max(abs(boundary), abs(absorbed), _TINY)
-    return EnergyReport(boundary, absorbed, float(gap), n)
+    return EnergyReport(boundary, absorbed, float(gap), n, passivity_check(we, wm))

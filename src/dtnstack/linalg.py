@@ -21,6 +21,7 @@ __all__ = [
     "HermitianPair",
     "as_cmatrix",
     "hermitian_parts",
+    "min_im_eig",
     "mat_exp",
     "solve",
     "condition_1norm",
@@ -81,6 +82,11 @@ def hermitian_parts(M) -> HermitianPair:
     A = as_cmatrix(M, "M", square=True, batch=True)
     Ah = np.swapaxes(A, -1, -2).conj()
     return HermitianPair((A + Ah) / 2.0, (A - Ah) / 2.0j)
+
+
+def min_im_eig(M) -> np.ndarray:
+    """Smallest eigenvalue of ``Im M`` (one ``eigvalsh`` call over a batch)."""
+    return np.linalg.eigvalsh(hermitian_parts(M).imag)[..., 0]
 
 
 #: Padé coefficients by degree, and the largest 1-norm at which each unscaled

@@ -61,9 +61,9 @@ def to_jsonable(obj):
     raise ParameterError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def _write(obj, indent: int, level: int, out: list):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _write(obj, level: int, out: list):
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -72,7 +72,7 @@ def _write(obj, indent: int, level: int, out: list):
         keys = sorted(obj)
         for i, k in enumerate(keys):
             out.append(f"{pad_in}{json.dumps(k)}: ")
-            _write(obj[k], indent, level + 1, out)
+            _write(obj[k], level + 1, out)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, list):
@@ -82,7 +82,7 @@ def _write(obj, indent: int, level: int, out: list):
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad_in)
-            _write(v, indent, level + 1, out)
+            _write(v, level + 1, out)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool):
@@ -99,10 +99,11 @@ def _write(obj, indent: int, level: int, out: list):
         raise ParameterError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def dumps_deterministic(obj, indent: int = 2) -> str:
-    """Serialize to JSON text with sorted keys and %.17g floats."""
+def dumps_deterministic(obj) -> str:
+    """Serialize to JSON text with sorted keys, %.17g floats and a two-space
+    indent."""
     out: list = []
-    _write(to_jsonable(obj), indent, 0, out)
+    _write(to_jsonable(obj), 0, out)
     out.append("\n")
     return "".join(out)
 
@@ -122,8 +123,8 @@ def make_report_body(command: str, config_echo, results, anomalies) -> dict:
     }
 
 
-def emit_report(out_dir, body: dict, name: str = "report.json") -> Path:
-    """Write the deterministic report plus a timestamp sidecar.
+def emit_report(out_dir, body: dict) -> Path:
+    """Write the deterministic ``report.json`` plus a timestamp sidecar.
 
     Returns the path of the report file. The sidecar (``run_meta.json``)
     carries the only nondeterministic field and is excluded from byte
@@ -131,7 +132,7 @@ def emit_report(out_dir, body: dict, name: str = "report.json") -> Path:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / name
+    path = out / "report.json"
     path.write_text(dumps_deterministic(body), encoding="utf-8")
     meta = {"timestamp": datetime.now(timezone.utc).isoformat()}
     (out / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n",

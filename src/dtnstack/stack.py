@@ -146,29 +146,29 @@ def _number(x, key: str) -> float:
     return float(x)
 
 
-def _cmat_from_json(obj, key: str, dim: int = 3) -> np.ndarray:
+def _cmat_from_json(obj, key: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
         _fail(key, "expected nested [re, im] pairs")
-    if arr.shape != (dim, dim, 2):
-        _fail(key, f"expected a {dim}x{dim} complex matrix as [re, im] pairs, "
+    if arr.shape != (3, 3, 2):
+        _fail(key, f"expected a 3x3 complex matrix as [re, im] pairs, "
                    f"got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def model_from_json(obj: dict, key: str, dim: int = 3) -> ResponseModel:
+def model_from_json(obj: dict, key: str) -> ResponseModel:
     """Decode one response model document (see module docstring for kinds)."""
     kind = _get(obj, "kind", key)
     try:
         if kind == "constant":
             return ConstantModel(_cmat_from_json(_get(obj, "value", key),
-                                                 f"{key}.value", dim))
+                                                 f"{key}.value"))
         if kind == "drude":
             return DrudeModel(_number(_get(obj, "plasma_freq", key), f"{key}.plasma_freq"),
                               _number(_get(obj, "collision_rate", key),
                                       f"{key}.collision_rate"),
-                              dim=dim)
+                              dim=3)
         if kind == "herglotz_discrete":
             poles_doc = _get(obj, "poles", key)
             weights_doc = _get(obj, "weights", key)
@@ -177,14 +177,14 @@ def model_from_json(obj: dict, key: str, dim: int = 3) -> ResponseModel:
             if len(poles_doc) != len(weights_doc):
                 _fail(f"{key}.weights", "weights must match poles in length")
             poles = [_number(p, f"{key}.poles[{i}]") for i, p in enumerate(poles_doc)]
-            weights = [_cmat_from_json(w, f"{key}.weights[{i}]", dim)
+            weights = [_cmat_from_json(w, f"{key}.weights[{i}]")
                        for i, w in enumerate(weights_doc)]
             return HerglotzModel(
-                dim=dim,
-                alpha=_cmat_from_json(_get(obj, "alpha", key), f"{key}.alpha", dim),
-                beta=_cmat_from_json(_get(obj, "beta", key), f"{key}.beta", dim),
+                dim=3,
+                alpha=_cmat_from_json(_get(obj, "alpha", key), f"{key}.alpha"),
+                beta=_cmat_from_json(_get(obj, "beta", key), f"{key}.beta"),
                 poles=np.array(poles),
-                weights=np.array(weights).reshape(len(poles), dim, dim),
+                weights=np.array(weights).reshape(len(poles), 3, 3),
             )
     except StackParseError:
         raise
@@ -213,12 +213,9 @@ def material_from_json(obj: dict, key: str = "material") -> MaterialSpec:
     label = _get(obj, "label", key)
     if not isinstance(label, str):
         _fail(f"{key}.label", "must be a string")
-    eps = model_from_json(_get(obj, "eps", key), f"{key}.eps", dim=3)
-    mu = model_from_json(_get(obj, "mu", key), f"{key}.mu", dim=3)
-    try:
-        return MaterialSpec(label, eps, mu)
-    except ToolkitError as exc:
-        _fail(key, str(exc))
+    eps = model_from_json(_get(obj, "eps", key), f"{key}.eps")
+    mu = model_from_json(_get(obj, "mu", key), f"{key}.mu")
+    return MaterialSpec(label, eps, mu)
 
 
 def material_to_json(mat: MaterialSpec) -> dict:
@@ -226,26 +223,26 @@ def material_to_json(mat: MaterialSpec) -> dict:
             "mu": model_to_json(mat.mu_model)}
 
 
-def parse_stack(doc: dict, key: str = "stack") -> StackSpec:
-    """Validate and decode the stack object found at ``doc[key]``.
+def parse_stack(doc: dict) -> StackSpec:
+    """Validate and decode the stack object found at ``doc["stack"]``.
 
     ``c`` may be omitted and defaults to 1. Raises
     :class:`~dtnstack.exceptions.StackParseError` naming the offending key
     (dotted path) on any schema violation.
     """
     if not isinstance(doc, dict):
-        _fail(key, "enclosing document must be a JSON object")
-    obj = _get(doc, key, "")
+        _fail("stack", "enclosing document must be a JSON object")
+    obj = _get(doc, "stack", "")
     if not isinstance(obj, dict):
-        _fail(key, "must be a JSON object")
-    c = _number(obj.get("c", 1.0), f"{key}.c")
-    z_min = _number(_get(obj, "z_min", key), f"{key}.z_min")
-    layers_doc = _get(obj, "layers", key)
+        _fail("stack", "must be a JSON object")
+    c = _number(obj.get("c", 1.0), "stack.c")
+    z_min = _number(_get(obj, "z_min", "stack"), "stack.z_min")
+    layers_doc = _get(obj, "layers", "stack")
     if not isinstance(layers_doc, list) or not layers_doc:
-        _fail(f"{key}.layers", "must be a non-empty list")
+        _fail("stack.layers", "must be a non-empty list")
     layers = []
     for i, ld in enumerate(layers_doc):
-        lkey = f"{key}.layers[{i}]"
+        lkey = f"stack.layers[{i}]"
         t = _number(_get(ld, "thickness", lkey), f"{lkey}.thickness")
         if t <= 0:
             _fail(f"{lkey}.thickness", f"must be > 0, got {t}")
@@ -254,7 +251,7 @@ def parse_stack(doc: dict, key: str = "stack") -> StackSpec:
     try:
         return StackSpec(z_min=z_min, layers=tuple(layers), c=c)
     except ToolkitError as exc:
-        _fail(key, str(exc))
+        _fail("stack", str(exc))
 
 
 def stack_to_json(stack: StackSpec) -> dict:

@@ -23,7 +23,7 @@ from .analyticity import _stencil, _stencil_residual, scalar_sample
 from .dtn import DtnMap
 from .exceptions import ContractError, DomainError, ParameterError, SingularMatrixError
 from .herglotz import _PSD_RTOL, _require_hermitian
-from .linalg import as_cmatrix, condition_1norm, hermitian_parts, solve
+from .linalg import as_cmatrix, condition_1norm, hermitian_parts, min_im_eig, solve
 
 __all__ = [
     "phi",
@@ -91,15 +91,15 @@ class ConeMembership(NamedTuple):
     margin: float
 
 
-def cone_member(H, tol: float = 0.0) -> ConeMembership:
+def cone_member(H) -> ConeMembership:
     """Membership of a Hermitian matrix in the PSD cone.
 
-    ``in_closed`` iff the smallest eigenvalue is ``>= -tol``; ``in_interior``
-    iff it is ``> tol``. The margin is the smallest eigenvalue itself.
+    ``in_closed`` iff the smallest eigenvalue is ``>= 0``; ``in_interior``
+    iff it is ``> 0``. The margin is the smallest eigenvalue itself.
     """
     A = _require_hermitian(H, "H")
     margin = float(np.linalg.eigvalsh(A)[0])
-    return ConeMembership(margin >= -tol, margin > tol, margin)
+    return ConeMembership(margin >= 0.0, margin > 0.0, margin)
 
 
 class SelfDualityReport(NamedTuple):
@@ -110,12 +110,12 @@ class SelfDualityReport(NamedTuple):
     witness: np.ndarray | None
 
 
-def self_duality_check(H, n_samples: int = 200, seed: int = 0,
-                       tol: float = 1e-12) -> SelfDualityReport:
+def self_duality_check(H, seed: int = 0) -> SelfDualityReport:
     """Probe ``H ⪰ 0  ⟺  Tr(H B) ≥ 0 for all B ⪰ 0`` by sampling.
 
-    For ``H`` in the cone: pairs against random PSD samples and reports the
-    smallest pairing (consistency requires it above ``-tol`` relative).
+    For ``H`` in the cone (smallest eigenvalue above ``-1e-12`` relative):
+    pairs against 200 random PSD samples and reports the smallest pairing
+    (consistency requires it above ``-1e-12`` relative).
     For ``H`` outside: returns the rank-one eigenvector witness ``v v*`` with
     ``Tr(H v v*) < 0``, confirming the dual separation.
     """
@@ -123,15 +123,15 @@ def self_duality_check(H, n_samples: int = 200, seed: int = 0,
     n = A.shape[0]
     eigs, vecs = np.linalg.eigh(A)
     scale = max(float(np.max(np.abs(eigs))), 1.0)
-    if eigs[0] >= -tol * scale:
+    if eigs[0] >= -_PSD_RTOL * scale:
         rng = np.random.default_rng(seed)
         worst = np.inf
-        for _ in range(int(n_samples)):
+        for _ in range(200):
             G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             B = G.conj().T @ G
             B /= max(np.trace(B).real, 1.0)
             worst = min(worst, float(np.trace(A @ B).real))
-        return SelfDualityReport(worst >= -tol * scale, worst, None)
+        return SelfDualityReport(worst >= -_PSD_RTOL * scale, worst, None)
     v = vecs[:, 0]
     witness = np.outer(v, v.conj())
     pairing = float(np.trace(A @ witness).real)
@@ -169,8 +169,7 @@ def trajectory_coeffs(L0, tensors: Sequence) -> TrajectorySpec:
         if Lj.shape != L0.shape:
             raise ParameterError(f"tensors[{j}] shape {Lj.shape} does not match "
                                  f"L0 shape {L0.shape}")
-        im = hermitian_parts(Lj).imag
-        if np.linalg.eigvalsh(im)[0] <= 0.0:
+        if min_im_eig(Lj) <= 0.0:
             raise DomainError(f"Im of tensors[{j}] must be positive definite")
         G = solve(L0 - Lj, np.eye(L0.shape[0], dtype=complex))
         A, B = hermitian_parts(G)
@@ -280,7 +279,7 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
         chunk = slice(start, start + TRAJECTORY_BATCH)
         v = scalar_sample(builder(trajectory_point(spec, stencils[chunk])), f)
         values.extend(v[:, 0].tolist())
-        residuals.extend(_stencil_residual(*v[:, 1:].T, steps[chunk]).tolist())
+        residuals.extend(_stencil_residual(v.T, steps[chunk]).tolist())
     min_im = min(v.imag for v in values)
     worst_cr = max(residuals)
     passed = bool(min_im > 0.0 and worst_cr < cr_tol)

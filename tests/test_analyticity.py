@@ -12,13 +12,21 @@ from dtnstack import (
     certify_point,
     cr_residual,
     dtn,
+    dtn_from_tensors,
     herglotz_certify,
     make_drude,
     omega_grid_points,
     scalar_sample,
     slice_analyticity,
 )
-from dtnstack.analyticity import RESOLVE_BATCH, default_cr_step, phase_tensors
+from dtnstack.analyticity import (
+    CR_OFFSETS,
+    RESOLVE_BATCH,
+    _stencil_residual,
+    default_cr_step,
+    phase_dtn,
+    phase_tensors,
+)
 from generators import (
     rand_constant_material,
     rand_dispersive_material,
@@ -199,6 +207,78 @@ def test_phase_tensors_dedupe(rng):
     assert phase_of_layer == [0, 0]
     assert len(tensors) == 2
     assert np.allclose(tensors[0], 1j * m.eps_model.value)
+
+
+def test_phase_tensors_rejects_shared_label_with_other_tensors(rng):
+    # layers that share a label form one phase, so they must share a material
+    a = rand_constant_material(rng, label="phase0")
+    b = rand_constant_material(rng, label="phase0")
+    s = StackSpec(z_min=0.0, layers=(Layer(0.4, a), Layer(0.5, a), Layer(0.6, b)))
+    with pytest.raises(ParameterError, match=r"layers 0 and 2 share the label 'phase0'"):
+        phase_tensors(s, 0.3 + 1j)
+
+
+def test_phase_tensors_rejects_real_frequency(rng):
+    s = _two_phase_stack(rng)
+    for omega in (0.5, 0.5 - 0.1j):
+        with pytest.raises(DomainError):
+            phase_tensors(s, omega)
+
+
+def test_phase_dtn_matches_expanded_layers_and_stack_route(rng):
+    # three layers over two phases; dyadic geometry makes the stack route's
+    # clipped layer widths exact, so all three routes see the same arrays
+    lower = rand_dispersive_material(rng, label="lower")
+    upper = rand_constant_material(rng, label="upper")
+    s = StackSpec(z_min=-0.5, layers=(Layer(0.25, lower), Layer(0.5, upper),
+                                      Layer(0.75, lower)))
+    om, kap = 0.4 + 0.9j, (0.3, -0.5)
+    labels, phase_of_layer, Z = phase_tensors(s, om)
+    assert labels == ["lower", "upper"] and phase_of_layer == [0, 1, 0]
+
+    def expanded(Z):
+        return [(ly.thickness, Z[p], Z[2 + p]) for ly, p in zip(s.layers, phase_of_layer)]
+
+    L = phase_dtn(s, kap, phase_of_layer, Z)
+    assert np.array_equal(L.matrix, dtn_from_tensors(expanded(Z), kap, s.c, s.z_min)[0].matrix)
+    assert np.array_equal(L.matrix, dtn(s, kap, om, s.z_min, s.z_max)[0].matrix)
+
+    batched = list(Z)
+    batched[3] = Z[3] + 0.01j * np.arange(4)[:, None, None] * np.eye(3)
+    Lb = phase_dtn(s, kap, phase_of_layer, batched)
+    assert Lb.matrix.shape == (4, 6, 6)
+    assert np.array_equal(Lb.matrix,
+                          dtn_from_tensors(expanded(batched), kap, s.c, s.z_min)[0].matrix)
+    assert np.array_equal(Lb.matrix[0], L.matrix)
+
+
+@pytest.mark.parametrize("tensor_index", [0, 3], ids=["eps", "mu"])
+@pytest.mark.parametrize("row, col, entry", [(1, 1, (0, 0)), (0, 2, (1, 4))],
+                         ids=["diagonal", "off-diagonal"])
+def test_slice_analyticity_matches_per_offset_loop(rng, tensor_index, row, col, entry):
+    # the one batched propagation gives the residual of one propagation per
+    # direction and stencil offset
+    s = _two_phase_stack(rng)
+    om, kap, h = 0.4 + 0.9j, (0.3, -0.5), 1e-4
+    _, phase_of_layer, Z = phase_tensors(s, om)
+    if row == col:
+        directions = [np.diag([0.0, 1.0, 0.0]).astype(complex)]
+    else:
+        Ds = np.zeros((3, 3), dtype=complex)
+        Ds[0, 2] = Ds[2, 0] = 1.0 / np.sqrt(2.0)
+        Da = np.zeros((3, 3), dtype=complex)
+        Da[0, 2], Da[2, 0] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+        directions = [Ds, Da]
+    worst = 0.0
+    for D in directions:
+        vals = []
+        for offset in h * CR_OFFSETS:
+            Zt = list(Z)
+            Zt[tensor_index] = Z[tensor_index] + offset * D
+            vals.append(phase_dtn(s, kap, phase_of_layer, Zt).matrix[entry])
+        worst = max(worst, float(_stencil_residual(np.array(vals), h)))
+    rep = slice_analyticity(s, om, kap, tensor_index, row, col, entry=entry, step=h)
+    assert rep.residual == worst
 
 
 def test_slice_analyticity_diagonal_and_offdiagonal(rng):

@@ -249,6 +249,36 @@ def test_energy_command(tmp_path):
     assert res["boundary_flux"] > 0
 
 
+@pytest.mark.parametrize("config, code", [(VACUUM, 0), (GAIN, 2)], ids=["vacuum", "gain"])
+def test_energy_verdict_requires_passive_layers(tmp_path, capsys, config, code):
+    # both energy sides stay positive on the gain config, whose gain sits in
+    # a direction the default psi0 does not excite; passivity decides
+    assert run_cli(["energy", "--config", config, "--out", tmp_path]) == code
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["results"]["passed"] is (code == 0)
+    assert rep["results"]["boundary_flux"] > 0
+    if code:
+        assert rep["anomalies"] == ["layer 0 is not passive (min eig Im(omega*eps) "
+                                    "-4.000e-01, Im(omega*mu) 4.000e-01)"]
+        assert "[energy] FAIL" in capsys.readouterr().out
+    else:
+        assert rep["anomalies"] == []
+
+
+def test_trajectory_rejects_shared_label_with_other_material(tmp_path, capsys):
+    doc = json.loads(VACUUM.read_text())
+    layer = doc["stack"]["layers"][0]
+    layer["thickness"] = 1.0
+    other = json.loads(json.dumps(layer))
+    other["material"]["eps"]["value"][0][0] = [2, 0]
+    doc["stack"]["layers"].append(other)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["trajectory", "--config", cfg, "--out", tmp_path / "out"]) == 1
+    assert "layers 0 and 1 share the label 'vacuum'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_trajectory_command(tmp_path):
     assert run_cli(["trajectory", "--config", VACUUM, "--out", tmp_path]) == 0
     rep = json.loads((tmp_path / "report.json").read_text())
