@@ -59,7 +59,8 @@ from .linalg import (
     solve,
     split_blocks,
 )
-from .stack import Layer, StackSpec, locate, make_sandwich, parse_stack, stack_to_json
+from .report import PACKAGE_VERSION as __version__
+from .stack import Layer, StackSpec, locate, make_sandwich, parse_stack
 from .transfer import (
     J,
     RHO,
@@ -82,5 +83,3 @@ from .tubular import (
     trajectory_point,
     trajectory_roundtrip,
 )
-
-__version__ = "0.1.0"

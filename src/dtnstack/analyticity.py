@@ -48,6 +48,9 @@ RESOLVE_BATCH = 2048
 #: CR stencil points ``z + h * CR_OFFSETS`` (centre first) for step ``h``
 CR_OFFSETS = np.array([0.0, 1.0, -1.0, 1j, -1j])
 
+#: default CR-residual threshold of the grid and trajectory verdicts
+CR_TOL = 1e-5
+
 
 def default_cr_step(z0: complex) -> float:
     """Default stencil step ``1e-4 * max(1, |z0|)``."""
@@ -184,7 +187,7 @@ class HerglotzCertificate:
 
 def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
                      z0: float | None = None, z1: float | None = None,
-                     cr_tol: float = 1e-5,
+                     cr_tol: float = CR_TOL,
                      step: float | None = None) -> HerglotzCertificate:
     """Certify positivity and analyticity margins over a frequency grid.
 

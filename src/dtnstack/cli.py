@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .analyticity import (
+    CR_TOL,
     herglotz_certify,
     omega_grid_points,
     phase_dtn,
@@ -52,8 +53,18 @@ from .exceptions import (
     SingularMatrixError,
     ToolkitError,
 )
+from .herglotz import passivity_check
 from .report import emit_report, make_report_body, write_sweep_csv
-from .stack import StackSpec, _fail, parse_stack
+from .stack import (
+    StackSpec,
+    _complex_array,
+    _fail,
+    _get,
+    _integer,
+    _number,
+    _real_array,
+    parse_stack,
+)
 from .transfer import transfer
 from .tubular import (
     _roundtrip_deviation,
@@ -73,6 +84,9 @@ MAX_QUAD_POINTS = 1_000_000
 #: most frequency-grid points accepted (``re_steps × im_steps``)
 MAX_GRID_POINTS = 100_000
 
+#: default relative energy gap of the ``energy`` verdict
+ENERGY_TOL = 1e-6
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on bad usage; the contract wants 1."""
@@ -80,36 +94,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _num(doc, key: str, path: str, default=None) -> float:
-    if key not in doc:
-        if default is not None:
-            return default
-        _fail(f"{path}.{key}", "missing required key")
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-        _fail(f"{path}.{key}", "must be a finite number")
-    return float(v)
-
-
-def _int(doc, key: str, path: str) -> int:
-    if key not in doc:
-        _fail(f"{path}.{key}", "missing required key")
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", "must be an integer")
-    return v
-
-
-def _cvec(obj, key: str, length: int) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        _fail(key, "expected [re, im] pairs")
-    if arr.shape != (length, 2):
-        _fail(key, f"expected {length} [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
 
 
 @dataclass(frozen=True)
@@ -138,25 +122,14 @@ def parse_run_config(doc: dict, command: str) -> RunConfig:
         _fail("config", "top level must be an object")
     stack = parse_stack(doc)
 
-    kappa_doc = doc.get("kappa", [0.0, 0.0])
-    try:
-        kappa_arr = np.asarray(kappa_doc, dtype=float).reshape(2)
-    except (TypeError, ValueError):
-        _fail("kappa", "expected two real numbers")
-    if not np.all(np.isfinite(kappa_arr)):
-        _fail("kappa", "entries must be finite")
+    kappa = _real_array(doc.get("kappa", [0.0, 0.0]), "kappa", (2,))
 
-    if "omega_grid" not in doc:
-        _fail("omega_grid", "missing required key")
-    g = doc["omega_grid"]
-    if not isinstance(g, dict):
-        _fail("omega_grid", "expected an object")
-    re_min = _num(g, "re_min", "omega_grid")
-    re_max = _num(g, "re_max", "omega_grid")
-    im_min = _num(g, "im_min", "omega_grid")
-    im_max = _num(g, "im_max", "omega_grid")
-    re_steps = _int(g, "re_steps", "omega_grid")
-    im_steps = _int(g, "im_steps", "omega_grid")
+    g = _get(doc, "omega_grid", "")
+    re_min, re_max, im_min, im_max = (
+        _number(_get(g, k, "omega_grid"), f"omega_grid.{k}")
+        for k in ("re_min", "re_max", "im_min", "im_max"))
+    re_steps, im_steps = (_integer(_get(g, k, "omega_grid"), f"omega_grid.{k}")
+                          for k in ("re_steps", "im_steps"))
     if re_steps < 1:
         _fail("omega_grid.re_steps", "must be >= 1")
     if im_steps < 1:
@@ -173,8 +146,8 @@ def parse_run_config(doc: dict, command: str) -> RunConfig:
     grid = tuple(omega_grid_points(re_min, re_max, re_steps,
                                    im_min, im_max, im_steps))
 
-    z0 = _num(doc, "z0", "config", default=stack.z_min)
-    z1 = _num(doc, "z1", "config", default=stack.z_max)
+    z0 = _number(doc["z0"], "z0") if "z0" in doc else stack.z_min
+    z1 = _number(doc["z1"], "z1") if "z1" in doc else stack.z_max
     if not (stack.z_min <= z0 <= stack.z_max):
         _fail("z0", f"must lie inside the stack [{stack.z_min}, {stack.z_max}]")
     if not (stack.z_min <= z1 <= stack.z_max):
@@ -182,52 +155,46 @@ def parse_run_config(doc: dict, command: str) -> RunConfig:
     if command in CERTIFICATION_COMMANDS and not z0 < z1:
         _fail("z1", "must be > z0")
 
-    psi0 = (_cvec(doc["psi0"], "psi0", 4) if "psi0" in doc
+    psi0 = (_complex_array(doc["psi0"], "psi0", (4,)) if "psi0" in doc
             else np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
 
     traj = doc.get("trajectory", {})
     if not isinstance(traj, dict):
         _fail("trajectory", "expected an object")
-    f = (_cvec(traj["f"], "trajectory.f", 6) if "f" in traj
+    f = (_complex_array(traj["f"], "trajectory.f", (6,)) if "f" in traj
          else np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=complex))
     if "L0" in traj:
-        try:
-            L0 = np.asarray(traj["L0"], dtype=float)
-        except (TypeError, ValueError):
-            _fail("trajectory.L0", "expected a real 3×3 matrix")
-        if L0.shape != (3, 3):
-            _fail("trajectory.L0", f"expected shape (3, 3), got {L0.shape}")
+        L0 = _real_array(traj["L0"], "trajectory.L0", (3, 3))
         if not np.allclose(L0, L0.T, atol=1e-12):
             _fail("trajectory.L0", "must be symmetric")
     else:
         L0 = np.zeros((3, 3))
     if "omega" in traj:
-        w = _cvec([traj["omega"]], "trajectory.omega", 1)[0]
-        if w.imag <= 0.0:
+        traj_omega = complex(_complex_array(traj["omega"], "trajectory.omega", ()))
+        if traj_omega.imag <= 0.0:
             _fail("trajectory.omega", "must have positive imaginary part")
-        traj_omega = complex(w)
     else:
         traj_omega = grid[0]
 
-    return RunConfig(stack, (float(kappa_arr[0]), float(kappa_arr[1])),
+    return RunConfig(stack, (float(kappa[0]), float(kappa[1])),
                      grid, z0, z1, psi0, f, L0, traj_omega, doc)
 
 
 def _certificate_json(cert) -> dict:
-    wd = cert.well_defined
-    return {
-        "passive": cert.passive,
-        "layer_passivity": [{"ok": p.ok, "min_eig_eps": p.min_eig_eps,
-                             "min_eig_mu": p.min_eig_mu}
-                            for p in cert.layer_passivity],
-        "flux_positive": wd.flux_positive,
-        "flux_min_eig": wd.flux_min_eig,
-        "blocks_invertible": list(wd.blocks_invertible),
-        "condition_T12": wd.condition_T12,
-        "transfer_norm": wd.transfer_norm,
-        "flux_resolution": wd.flux_resolution,
-        "im_min_eig": cert.im_min_eig,
-    }
+    return {**cert.well_defined._asdict(), "passive": cert.passive,
+            "layer_passivity": [p._asdict() for p in cert.layer_passivity],
+            "im_min_eig": cert.im_min_eig}
+
+
+def _gain_anomalies(pc, names) -> list[str]:
+    """One anomaly naming the first non-passive entry of a batched passivity
+    certificate and both of its margins, or none."""
+    gain = np.flatnonzero(~pc.ok)
+    if not gain.size:
+        return []
+    j = gain[0]
+    return [f"{names[j]} is not passive (min eig Im(omega*eps) "
+            f"{pc.min_eig_eps[j]:.3e}, Im(omega*mu) {pc.min_eig_mu[j]:.3e})"]
 
 
 # ---------------------------------------------------------------------------
@@ -259,37 +226,29 @@ def _cmd_dtn(cfg: RunConfig, args) -> tuple[dict, list, int]:
 
 
 def _cmd_certify(cfg: RunConfig, args) -> tuple[dict, list, int]:
-    cr_tol = args.tol if args.tol is not None else 1e-5
     hc = herglotz_certify(cfg.stack, cfg.kappa, cfg.grid, cfg.z0, cfg.z1,
-                          cr_tol=cr_tol, step=args.cr_step)
+                          cr_tol=args.tol, step=args.cr_step)
     results = {
         "grid": [complex(w) for w in hc.grid],
         "min_im_eig": hc.min_im_eig,
         "worst_cr": hc.worst_cr,
-        "cr_tol": cr_tol,
+        "cr_tol": args.tol,
         "cr_step": args.cr_step,
         "passed": hc.passed,
-        "points": [{"omega": p.omega, "min_im_eig": p.min_im_eig,
-                    "worst_cr": p.worst_cr, "condition_T12": p.condition_T12}
+        "points": [{k: v for k, v in p._asdict().items() if k != "compression"}
                    for p in hc.points],
     }
     return results, list(hc.anomalies), 0 if hc.passed else 2
 
 
 def _cmd_energy(cfg: RunConfig, args) -> tuple[dict, list, int]:
-    tol = args.tol if args.tol is not None else 1e-6
     rep = energy_balance(cfg.stack, cfg.psi0, cfg.kappa, cfg.grid[0],
                          cfg.z0, cfg.z1, n_points=args.quad_points)
-    gain = np.flatnonzero(~rep.passivity.ok)
-    passed = (rep.relative_gap <= tol and rep.boundary_flux >= 0.0
-              and rep.absorption_integral >= 0.0 and gain.size == 0)
-    anomalies = []
-    if gain.size:
-        j = gain[0]
-        anomalies.append(f"layer {j} is not passive (min eig Im(omega*eps) "
-                         f"{rep.passivity.min_eig_eps[j]:.3e}, Im(omega*mu) "
-                         f"{rep.passivity.min_eig_mu[j]:.3e})")
-    elif rep.boundary_flux < 0.0 or rep.absorption_integral < 0.0:
+    anomalies = _gain_anomalies(
+        rep.passivity, [f"layer {j}" for j in range(len(cfg.stack.layers))])
+    passed = (rep.relative_gap <= args.tol and rep.boundary_flux >= 0.0
+              and rep.absorption_integral >= 0.0 and not anomalies)
+    if not anomalies and (rep.boundary_flux < 0.0 or rep.absorption_integral < 0.0):
         anomalies.append(
             f"energy sides must be nonnegative for passive input "
             f"(boundary {rep.boundary_flux:.3e}, absorbed "
@@ -301,16 +260,15 @@ def _cmd_energy(cfg: RunConfig, args) -> tuple[dict, list, int]:
         "absorption_integral": rep.absorption_integral,
         "relative_gap": rep.relative_gap,
         "n_points": rep.n_points,
-        "tolerance": tol,
+        "tolerance": args.tol,
         "passed": passed,
     }
     return results, anomalies, 0 if passed else 2
 
 
 def _cmd_sweep(cfg: RunConfig, args) -> tuple[dict, list, int]:
-    cr_tol = args.tol if args.tol is not None else 1e-5
     hc = herglotz_certify(cfg.stack, cfg.kappa, cfg.grid, cfg.z0, cfg.z1,
-                          cr_tol=cr_tol, step=args.cr_step)
+                          cr_tol=args.tol, step=args.cr_step)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = write_sweep_csv(out / "sweep.csv", hc.points)
@@ -319,21 +277,26 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[dict, list, int]:
         "csv": csv_path.name,
         "min_im_eig": hc.min_im_eig,
         "worst_cr": hc.worst_cr,
-        "cr_tol": cr_tol,
+        "cr_tol": args.tol,
         "cr_step": args.cr_step,
     }
     return results, list(hc.anomalies), 0 if hc.passed else 2
 
 
 def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list, int]:
-    cr_tol = args.tol if args.tol is not None else 1e-5
     labels, phase_of_layer, Z = phase_tensors(cfg.stack, cfg.traj_omega)
+    # trajectory_coeffs needs every phase passive: fail as the other commands do
+    gain = _gain_anomalies(passivity_check(Z[:len(labels)], Z[len(labels):]),
+                           [f"phase {j} ({label!r})" for j, label in enumerate(labels)])
+    if gain:
+        return ({"phases": labels, "omega": cfg.traj_omega, "cr_tol": args.tol,
+                 "cr_step": args.cr_step, "passed": False}, gain, 2)
     builder = partial(phase_dtn, cfg.stack, cfg.kappa, phase_of_layer)
     spec = trajectory_coeffs(cfg.traj_L0, Z)
     back = trajectory_point(spec, 1j)
     roundtrip = _roundtrip_deviation(Z, back)
     cert = herglotz_along_trajectory(builder, spec, cfg.f, cfg.grid,
-                                     cr_tol=cr_tol, step=args.cr_step)
+                                     cr_tol=args.tol, step=args.cr_step)
     sample_orig = scalar_sample(builder(Z), cfg.f)
     sample_back = scalar_sample(builder(back), cfg.f)
     sample_dev = abs(sample_back - sample_orig) / max(abs(sample_orig), 1.0)
@@ -347,7 +310,7 @@ def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list, int]:
         "h_values": [complex(v) for v in cert.values],
         "min_im_h": cert.min_im,
         "worst_cr": cert.worst_cr,
-        "cr_tol": cr_tol,
+        "cr_tol": args.tol,
         "cr_step": args.cr_step,
         "passed": passed,
     }
@@ -377,26 +340,27 @@ def _build_parser() -> _Parser:
         "--cr-step": dict(type=float, dest="cr_step",
                           help="CR stencil width (default: 1e-4 scaled by |omega|)"),
     }
-    commands = {
-        "transfer": ("compute a transfer matrix at one frequency", ()),
-        "dtn": ("compute and certify the boundary operator at one frequency", ()),
+    commands = {  # help, flags read, default --tol
+        "transfer": ("compute a transfer matrix at one frequency", (), None),
+        "dtn": ("compute and certify the boundary operator at one frequency", (),
+                None),
         "certify": ("sweep a frequency grid and certify positivity/analyticity",
-                    ("--tol", "--cr-step")),
+                    ("--tol", "--cr-step"), CR_TOL),
         "energy": ("check the energy-conservation identity for one solution",
-                   ("--tol", "--quad-points")),
+                   ("--tol", "--quad-points"), ENERGY_TOL),
         "sweep": ("sweep a frequency grid and write per-point data as CSV",
-                  ("--tol", "--cr-step")),
+                  ("--tol", "--cr-step"), CR_TOL),
         "trajectory": ("certify scalar samples along a material trajectory",
-                       ("--tol", "--cr-step")),
+                       ("--tol", "--cr-step"), CR_TOL),
     }
-    for name, (h, reads) in commands.items():
+    for name, (h, reads, tol) in commands.items():
         p = sub.add_parser(name, help=h)
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         for flag in reads:
             p.add_argument(flag, **flags[flag])
         # a flag the command does not read keeps its default for main's checks
-        p.set_defaults(tol=None, quad_points=2000, cr_step=None)
+        p.set_defaults(tol=tol, quad_points=2000, cr_step=None)
     return parser
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .exceptions import ParameterError
 
 __all__ = [
-    "to_jsonable",
     "dumps_deterministic",
     "make_report_body",
     "emit_report",
@@ -38,44 +37,26 @@ def _fmt_float(x: float) -> str:
     return '"inf"' if x > 0 else '"-inf"'
 
 
-def to_jsonable(obj):
-    """Normalize numpy/complex/path values into plain JSON-ready data."""
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return to_jsonable(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, Path):
-        return str(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise ParameterError(f"cannot serialize value of type {type(obj).__name__}")
-
-
 def _write(obj, level: int, out: list):
+    """Append the JSON text of ``obj`` to ``out``: numpy arrays as nested
+    lists, tuples as lists, complex values as ``[re, im]`` and paths as
+    strings."""
     pad = "  " * level
     pad_in = "  " * (level + 1)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         out.append("{\n")
-        keys = sorted(obj)
+        keys = sorted(obj, key=str)
         for i, k in enumerate(keys):
-            out.append(f"{pad_in}{json.dumps(k)}: ")
+            out.append(f"{pad_in}{json.dumps(str(k))}: ")
             _write(obj[k], level + 1, out)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
@@ -85,17 +66,19 @@ def _write(obj, level: int, out: list):
             _write(v, level + 1, out)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, bool):
+    elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _write([float(obj.real), float(obj.imag)], level, out)
+    elif isinstance(obj, (str, Path)):
+        out.append(json.dumps(str(obj)))
     elif obj is None:
         out.append("null")
-    else:  # pragma: no cover - to_jsonable normalizes first
+    else:
         raise ParameterError(f"cannot serialize value of type {type(obj).__name__}")
 
 
@@ -103,7 +86,7 @@ def dumps_deterministic(obj) -> str:
     """Serialize to JSON text with sorted keys, %.17g floats and a two-space
     indent."""
     out: list = []
-    _write(to_jsonable(obj), 0, out)
+    _write(obj, 0, out)
     out.append("\n")
     return "".join(out)
 

@@ -18,6 +18,7 @@ and ``<cmat3>`` is a 3×3 complex matrix written as nested ``[re, im]`` pairs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ from .herglotz import (
     MaterialSpec,
     ResponseModel,
 )
-from .report import to_jsonable
 
 __all__ = [
     "Layer",
@@ -38,10 +38,7 @@ __all__ = [
     "make_sandwich",
     "locate",
     "parse_stack",
-    "stack_to_json",
-    "material_to_json",
     "material_from_json",
-    "model_to_json",
     "model_from_json",
 ]
 
@@ -123,7 +120,8 @@ def locate(stack: StackSpec, z):
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs
+# JSON readers: every config value is read here (``cli`` reads its own keys
+# with them), so each error names its dotted key
 # ---------------------------------------------------------------------------
 
 def _fail(key: str, msg: str):
@@ -141,19 +139,39 @@ def _get(doc: dict, key: str, path: str):
 def _number(x, key: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         _fail(key, f"expected a number, got {type(x).__name__}")
-    if not np.isfinite(x):
+    try:
+        v = float(x)
+    except OverflowError:  # an integer beyond the double range
+        v = math.inf
+    if not math.isfinite(v):
         _fail(key, "must be finite")
-    return float(x)
+    return v
 
 
-def _cmat_from_json(obj, key: str) -> np.ndarray:
+def _integer(x, key: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        _fail(key, "must be an integer")
+    return x
+
+
+def _real_array(obj, key: str, shape: tuple) -> np.ndarray:
+    """Nested lists of numbers with exactly ``shape``, every entry finite."""
     try:
         arr = np.asarray(obj, dtype=float)
+    except OverflowError:  # an integer beyond the double range
+        _fail(key, "entries must be finite")
     except (TypeError, ValueError):
-        _fail(key, "expected nested [re, im] pairs")
-    if arr.shape != (3, 3, 2):
-        _fail(key, f"expected a 3x3 complex matrix as [re, im] pairs, "
-                   f"got shape {arr.shape}")
+        _fail(key, "expected nested lists of numbers")
+    if arr.shape != shape:
+        _fail(key, f"expected shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        _fail(key, "entries must be finite")
+    return arr
+
+
+def _complex_array(obj, key: str, shape: tuple) -> np.ndarray:
+    """Complex array of ``shape`` written as nested ``[re, im]`` pairs."""
+    arr = _real_array(obj, key, (*shape, 2))
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -162,8 +180,8 @@ def model_from_json(obj: dict, key: str) -> ResponseModel:
     kind = _get(obj, "kind", key)
     try:
         if kind == "constant":
-            return ConstantModel(_cmat_from_json(_get(obj, "value", key),
-                                                 f"{key}.value"))
+            return ConstantModel(_complex_array(_get(obj, "value", key),
+                                                f"{key}.value", (3, 3)))
         if kind == "drude":
             return DrudeModel(_number(_get(obj, "plasma_freq", key), f"{key}.plasma_freq"),
                               _number(_get(obj, "collision_rate", key),
@@ -177,12 +195,12 @@ def model_from_json(obj: dict, key: str) -> ResponseModel:
             if len(poles_doc) != len(weights_doc):
                 _fail(f"{key}.weights", "weights must match poles in length")
             poles = [_number(p, f"{key}.poles[{i}]") for i, p in enumerate(poles_doc)]
-            weights = [_cmat_from_json(w, f"{key}.weights[{i}]")
+            weights = [_complex_array(w, f"{key}.weights[{i}]", (3, 3))
                        for i, w in enumerate(weights_doc)]
             return HerglotzModel(
                 dim=3,
-                alpha=_cmat_from_json(_get(obj, "alpha", key), f"{key}.alpha"),
-                beta=_cmat_from_json(_get(obj, "beta", key), f"{key}.beta"),
+                alpha=_complex_array(_get(obj, "alpha", key), f"{key}.alpha", (3, 3)),
+                beta=_complex_array(_get(obj, "beta", key), f"{key}.beta", (3, 3)),
                 poles=np.array(poles),
                 weights=np.array(weights).reshape(len(poles), 3, 3),
             )
@@ -193,22 +211,6 @@ def model_from_json(obj: dict, key: str) -> ResponseModel:
     _fail(f"{key}.kind", f"unknown model kind {kind!r}")
 
 
-def model_to_json(model: ResponseModel) -> dict:
-    """Encode a response model back to its JSON document."""
-    if isinstance(model, ConstantModel):
-        return {"kind": "constant", "value": to_jsonable(model.value)}
-    if isinstance(model, DrudeModel):
-        return {"kind": "drude", "plasma_freq": model.plasma_freq,
-                "collision_rate": model.collision_rate}
-    if isinstance(model, HerglotzModel):
-        return {"kind": "herglotz_discrete",
-                "alpha": to_jsonable(model.alpha),
-                "beta": to_jsonable(model.beta),
-                "poles": [float(p) for p in model.poles],
-                "weights": to_jsonable(model.weights)}
-    raise ParameterError(f"cannot serialize model of type {type(model).__name__}")
-
-
 def material_from_json(obj: dict, key: str = "material") -> MaterialSpec:
     label = _get(obj, "label", key)
     if not isinstance(label, str):
@@ -216,11 +218,6 @@ def material_from_json(obj: dict, key: str = "material") -> MaterialSpec:
     eps = model_from_json(_get(obj, "eps", key), f"{key}.eps")
     mu = model_from_json(_get(obj, "mu", key), f"{key}.mu")
     return MaterialSpec(label, eps, mu)
-
-
-def material_to_json(mat: MaterialSpec) -> dict:
-    return {"label": mat.label, "eps": model_to_json(mat.eps_model),
-            "mu": model_to_json(mat.mu_model)}
 
 
 def parse_stack(doc: dict) -> StackSpec:
@@ -252,10 +249,3 @@ def parse_stack(doc: dict) -> StackSpec:
         return StackSpec(z_min=z_min, layers=tuple(layers), c=c)
     except ToolkitError as exc:
         _fail("stack", str(exc))
-
-
-def stack_to_json(stack: StackSpec) -> dict:
-    return {"c": stack.c, "z_min": stack.z_min,
-            "layers": [{"thickness": ly.thickness,
-                        "material": material_to_json(ly.material)}
-                       for ly in stack.layers]}

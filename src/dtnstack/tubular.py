@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analyticity import _stencil, _stencil_residual, scalar_sample
+from .analyticity import CR_TOL, _stencil, _stencil_residual, scalar_sample
 from .dtn import DtnMap
 from .exceptions import ContractError, DomainError, ParameterError, SingularMatrixError
 from .herglotz import _PSD_RTOL, _require_hermitian
@@ -241,7 +241,7 @@ class TrajectoryCertificate(NamedTuple):
 
 def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
                               spec: TrajectorySpec, f, s_grid: Sequence[complex],
-                              cr_tol: float = 1e-5,
+                              cr_tol: float = CR_TOL,
                               step: float | None = None) -> TrajectoryCertificate:
     """Certify that ``s -> (Lambda(Z(s)) f, f)`` behaves as a Herglotz map.
 

@@ -188,6 +188,52 @@ def test_overflowing_system_matrix_is_named_anomaly(tmp_path, capsys, command,
     assert not (tmp_path / "report.json").exists()
 
 
+def _set_psi0(doc, v):
+    doc["psi0"] = [[1, 0], [0, v], [0, 0], [0, 0]]
+
+
+def _set_traj_f(doc, v):
+    doc["trajectory"] = {"f": [[1, 0], [0, 0], [0, 0], [v, 0], [0, 0], [0, 0]]}
+
+
+def _set_traj_omega(doc, v):
+    doc["trajectory"] = {"omega": [0.2, v]}
+
+
+def _set_eps_value(doc, v):
+    doc["stack"]["layers"][0]["material"]["eps"]["value"][1][1][1] = v
+
+
+def _set_grid_bound(doc, v):
+    doc["omega_grid"]["re_max"] = v
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["transfer", "dtn", "certify", "energy", "sweep",
+                                     "trajectory"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "int-beyond-double"])
+@pytest.mark.parametrize("key, put", [
+    ("psi0", _set_psi0),
+    ("trajectory.f", _set_traj_f),
+    ("trajectory.omega", _set_traj_omega),
+    ("stack.layers[0].material.eps.value", _set_eps_value),
+    ("omega_grid.re_max", _set_grid_bound),
+])
+def test_nonfinite_config_entry_is_named_input_error(tmp_path, capsys, command,
+                                                     value, key, put):
+    # a non-finite [re, im] entry used to escape as a RuntimeWarning or end
+    # in a FAIL verdict (exit 2), and json reads 10**400 as an int that
+    # float() cannot convert; every command reads the whole config
+    doc = json.loads(VACUUM.read_text())
+    put(doc, value)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli([command, "--config", p, "--out", tmp_path]) == 1
+    assert f"{key}: " in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ------------------------------------------------------------- determinism
 
 def test_report_bodies_byte_identical_across_runs(tmp_path):
@@ -263,6 +309,18 @@ def test_energy_verdict_requires_passive_layers(tmp_path, capsys, config, code):
         assert "[energy] FAIL" in capsys.readouterr().out
     else:
         assert rep["anomalies"] == []
+
+
+def test_trajectory_verdict_requires_passive_phases(tmp_path, capsys):
+    # trajectory_coeffs needs Im of every phase tensor positive definite; a
+    # gain phase is a certification failure with a report, as on energy
+    assert run_cli(["trajectory", "--config", GAIN, "--out", tmp_path]) == 2
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["results"]["passed"] is False
+    assert rep["results"]["phases"] == ["gain"]
+    assert rep["anomalies"] == ["phase 0 ('gain') is not passive (min eig "
+                                "Im(omega*eps) -4.000e-01, Im(omega*mu) 4.000e-01)"]
+    assert "[trajectory] FAIL" in capsys.readouterr().out
 
 
 def test_trajectory_rejects_shared_label_with_other_material(tmp_path, capsys):

@@ -1,28 +1,39 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dtnstack.analyticity import PointRecord
+from dtnstack.exceptions import ParameterError
 from dtnstack.report import (
     SWEEP_COLUMNS,
     _fmt_float,
     dumps_deterministic,
     emit_report,
     make_report_body,
-    to_jsonable,
     versions,
     write_sweep_csv,
 )
 
 
-def test_to_jsonable_complex_and_arrays():
-    assert to_jsonable(1 + 2j) == [1.0, 2.0]
-    assert to_jsonable(np.array([1.0, 2.0])) == [1.0, 2.0]
-    assert to_jsonable(np.float64(0.5)) == 0.5
-    assert to_jsonable(np.bool_(True)) is True
-    assert to_jsonable({"b": 1, "a": np.int64(2)}) == {"b": 1, "a": 2}
+def test_dumps_complex_numpy_tuples_and_paths():
+    loads = lambda obj: json.loads(dumps_deterministic(obj))
+    assert loads(1 + 2j) == [1.0, 2.0]
+    assert loads(np.complex128(-0.5 + 3j)) == [-0.5, 3.0]
+    assert loads(np.array([1.0, 2.0])) == [1.0, 2.0]
+    assert loads(np.array([[1j], [2]])) == [[[0.0, 1.0]], [[2.0, 0.0]]]
+    assert loads(np.float64(0.5)) == 0.5
+    assert loads(np.float32(0.5)) == 0.5
+    assert loads(np.bool_(True)) is True
+    assert loads({"b": 1, "a": np.int64(2)}) == {"b": 1, "a": 2}
+    assert loads((True, False)) == [True, False]
+    assert loads({"p": Path("sub") / "x.csv"}) == {"p": str(Path("sub") / "x.csv")}
+    # a complex value is written as the two-element list it stands for
+    assert dumps_deterministic({"w": 1 + 2j}) == dumps_deterministic({"w": [1.0, 2.0]})
+    with pytest.raises(ParameterError):
+        dumps_deterministic({"x": object()})
 
 
 def test_dumps_deterministic_sorted_and_17_digits():

@@ -12,10 +12,8 @@ from dtnstack import (
     locate,
     make_sandwich,
     parse_stack,
-    stack_to_json,
     vacuum_material,
 )
-from generators import rand_dispersive_material, rand_drude_material, rand_stack
 
 
 def test_sandwich_geometry():
@@ -67,32 +65,58 @@ def test_stack_requires_layers():
         StackSpec(z_min=0.0, layers=())
 
 
-def test_json_roundtrip_constant(rng):
-    s = rand_stack(rng, max_layers=3)
-    doc = {"stack": stack_to_json(s)}
-    doc = json.loads(json.dumps(doc))  # force plain-JSON types
-    s2 = parse_stack(doc)
-    assert s2.z_min == pytest.approx(s.z_min)
-    assert len(s2.layers) == len(s.layers)
-    for a, b in zip(s.layers, s2.layers):
-        assert b.thickness == pytest.approx(a.thickness)
-        assert np.allclose(b.material.eps_model.value, a.material.eps_model.value)
+ID3 = [[[1, 0], [0, 0], [0, 0]],
+       [[0, 0], [1, 0], [0, 0]],
+       [[0, 0], [0, 0], [1, 0]]]
 
 
-def test_json_roundtrip_dispersive(rng):
-    mats = [rand_dispersive_material(rng), rand_drude_material(rng)]
-    s = StackSpec(z_min=0.0, layers=tuple(Layer(0.5, m) for m in mats))
-    s2 = parse_stack(json.loads(json.dumps({"stack": stack_to_json(s)})))
-    a = s.layers[0].material.eps_model
-    b = s2.layers[0].material.eps_model
+def _layer(thickness, eps, mu=None):
+    mu = mu or {"kind": "constant", "value": ID3}
+    return {"thickness": thickness,
+            "material": {"label": "m", "eps": eps, "mu": mu}}
+
+
+def test_parse_constant_document():
+    value = [[[2, 0.5], [0, -1], [0, 0]],
+             [[0, 1], [3, 0], [0, 0]],
+             [[0, 0], [0, 0], [1.5, 0.25]]]
+    doc = json.loads(json.dumps({"stack": {"z_min": -2.0, "layers": [
+        _layer(0.5, {"kind": "constant", "value": value}),
+        _layer(1.5, {"kind": "constant", "value": ID3})]}}))
+    s = parse_stack(doc)
+    assert s.z_min == -2.0 and s.c == 1.0
+    assert [ly.thickness for ly in s.layers] == [0.5, 1.5]
+    expected = np.array([[2 + 0.5j, -1j, 0], [1j, 3, 0], [0, 0, 1.5 + 0.25j]])
+    assert np.array_equal(s.layers[0].material.eps_model.value, expected)
+    assert np.array_equal(s.layers[1].material.eps_model.value, np.eye(3))
+
+
+def test_parse_dispersive_document():
+    weight = [[[1, 0], [0, 0.5], [0, 0]],
+              [[0, -0.5], [1, 0], [0, 0]],
+              [[0, 0], [0, 0], [2, 0]]]
+    herglotz = {"kind": "herglotz_discrete",
+                "alpha": ID3,
+                "beta": [[[0.5, 0], [0, 0], [0, 0]],
+                         [[0, 0], [-0.25, 0], [0, 0]],
+                         [[0, 0], [0, 0], [0, 0]]],
+                "poles": [-1.0, 2.5],
+                "weights": [weight, ID3]}
+    drude = {"kind": "drude", "plasma_freq": 1.25, "collision_rate": 0.125}
+    doc = json.loads(json.dumps({"stack": {"z_min": 0.0, "c": 2.0, "layers": [
+        _layer(0.5, herglotz), _layer(0.5, drude)]}}))
+    s = parse_stack(doc)
+    assert s.c == 2.0
+    b = s.layers[0].material.eps_model
     assert b.kind == "herglotz_discrete"
-    assert np.allclose(b.alpha, a.alpha)
-    assert np.allclose(b.weights, a.weights)
-    assert b.poles == pytest.approx(a.poles)
-    d = s2.layers[1].material.eps_model
+    assert np.array_equal(b.alpha, np.eye(3))
+    assert np.array_equal(b.beta, np.diag([0.5, -0.25, 0]))
+    w0 = np.array([[1, 0.5j, 0], [-0.5j, 1, 0], [0, 0, 2]])
+    assert np.array_equal(b.weights, np.stack([w0, np.eye(3)]))
+    assert b.poles.tolist() == [-1.0, 2.5]
+    d = s.layers[1].material.eps_model
     assert d.kind == "drude"
-    assert d.plasma_freq == pytest.approx(
-        s.layers[1].material.eps_model.plasma_freq)
+    assert (d.plasma_freq, d.collision_rate, d.dim) == (1.25, 0.125, 3)
 
 
 def test_parse_errors_name_the_offending_key():
