@@ -19,7 +19,7 @@ import numpy as np
 
 from .dtn import (TANGENTIAL_INDICES, DtnCertificate, DtnMap, _certified_dtn,
                   _certified_inputs, _tensor_dtn)
-from .exceptions import DomainError, ParameterError
+from .exceptions import DomainError, NumericRangeError, ParameterError, SingularMatrixError
 from .linalg import as_cmatrix, min_im_eig
 from .stack import StackSpec
 from .transfer import resolve_stack
@@ -39,11 +39,11 @@ __all__ = [
 ]
 
 
-#: most (stencil frequency, layer) pairs whose response tensors
-#: :func:`herglotz_certify` resolves per call, five stencil frequencies per
-#: grid point: bounds the resolved arrays (288 bytes per pair) whatever the
-#: grid size
-RESOLVE_BATCH = 2048
+#: most (stencil frequency, layer) pairs that :func:`herglotz_certify`
+#: resolves, propagates and certifies in one pass, five stencil frequencies
+#: per grid point: bounds the pass's arrays whatever the grid size (peak
+#: 2.0-2.6 KB per pair, in ``mat_exp``, on 16 and 64 layers)
+RESOLVE_BATCH = 1024
 
 #: CR stencil points ``z + h * CR_OFFSETS`` (centre first) for step ``h``
 CR_OFFSETS = np.array([0.0, 1.0, -1.0, 1j, -1j])
@@ -136,27 +136,33 @@ def _certified_points(stack: StackSpec, kappa, grid: Sequence[complex],
     """``(PointRecord, DtnCertificate)`` of each grid point in turn.
 
     Every stencil passes the ``Im omega > 0`` and real-``kappa`` gates before
-    any work; the materials are resolved once per chunk of grid points (at
-    most :data:`RESOLVE_BATCH` frequency-layer pairs, or one point), and each
-    grid point is one propagation of its frequency and four stencil
-    neighbours.
+    any work. Each chunk of grid points (at most :data:`RESOLVE_BATCH`
+    frequency-layer pairs, or one point) is one pass: its materials are
+    resolved, its frequencies and their stencil neighbours propagated, and
+    its centres certified together. A numerical error in a pass is raised as
+    the chunk's first failing point raises it on its own.
     """
     z0 = stack.z_min if z0 is None else float(z0)
     z1 = stack.z_max if z1 is None else float(z1)
     omegas = [complex(w) for w in grid]
-    stencils, steps = zip(*(_stencil(w, step) for w in omegas))
-    stencils, k = _certified_inputs(kappa, np.array(stencils), z0, z1)
-    chunk = max(1, RESOLVE_BATCH // (5 * len(stack.layers)))
+    stencils, steps = map(np.array, zip(*(_stencil(w, step) for w in omegas)))
+    stencils, k = _certified_inputs(kappa, stencils, z0, z1)
+    fixed = (k, stack.c, stack.z_min, z0, z1)
+    chunk = max(1, RESOLVE_BATCH // (len(CR_OFFSETS) * len(stack.layers)))
     for start in range(0, len(omegas), chunk):
-        thickness, we, wm = resolve_stack(stack, stencils[start:start + chunk])
-        for i, (w, h) in enumerate(zip(omegas[start:start + chunk],
-                                       steps[start:start + chunk])):
-            L, cert = _certified_dtn(thickness, we[i], wm[i], k, stack.c,
-                                     stack.z_min, z0, z1)
-            comp = L[:, TANGENTIAL_INDICES][:, :, TANGENTIAL_INDICES]
-            res = _stencil_residual(comp, h)
-            yield PointRecord(w, cert.im_min_eig, float(np.max(res)),
-                              cert.well_defined.condition_T12, comp[0]), cert
+        part = slice(start, start + chunk)
+        thickness, we, wm = resolve_stack(stack, stencils[part])
+        try:
+            L, certs = _certified_dtn(thickness, we, wm, *fixed, certify=CR_OFFSETS == 0)
+        except (SingularMatrixError, NumericRangeError):
+            for i in range(len(we)):
+                _certified_dtn(thickness, we[i], wm[i], *fixed, certify=False)
+            raise
+        comp = L[..., TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES]
+        res = _stencil_residual(np.moveaxis(comp, 1, 0), steps[part, None, None])
+        for w, r, centre, cert in zip(omegas[part], res, comp[:, 0], certs):
+            yield PointRecord(w, cert.im_min_eig, float(np.max(r)),
+                              cert.well_defined.condition_T12, centre), cert
 
 
 def certify_point(stack: StackSpec, kappa, omega, z0: float | None = None,
@@ -194,13 +200,13 @@ def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
     The verdict passes iff every grid point has a strictly positive smallest
     eigenvalue of ``Im`` on the tangential compression, every CR residual is
     below ``cr_tol``, all layers are passive at every point, and no
-    theorem-contradicting anomaly was recorded. The materials are resolved
-    once per chunk of grid points, and each grid point is one batched
-    propagation of the frequency and its four stencil neighbours. ``step``
-    overrides the per-point default CR stencil width. A response model that
-    is not finite anywhere in a chunk raises before any point of that chunk
-    is propagated, so it is reported ahead of a propagation error at an
-    earlier point of the chunk.
+    theorem-contradicting anomaly was recorded. Each chunk of grid points,
+    with the four stencil neighbours of each, is one resolve, propagate and
+    certify pass. ``step`` overrides the per-point default CR stencil width.
+    A response model that is not finite anywhere in a chunk raises before
+    any point of that chunk is propagated, so it is reported ahead of a
+    propagation error at an earlier point of the chunk; propagation and
+    ``T12`` errors come in grid order.
     """
     if not grid:
         raise ParameterError("grid must be nonempty")
@@ -258,7 +264,7 @@ def phase_dtn(stack: StackSpec, kappa, phase_of_layer: Sequence[int],
     Tensors with leading batch axes give a batched map from one propagation
     (see :func:`~dtnstack.dtn.dtn_from_tensors`)."""
     return _tensor_dtn([ly.thickness for ly in stack.layers], phase_of_layer, Z,
-                       kappa, stack.c, stack.z_min)[0]
+                       kappa, stack.c, stack.z_min, False)[0]
 
 
 def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,

@@ -68,29 +68,31 @@ _TINY = np.finfo(float).tiny
 
 
 def _as_transfer_matrix(T) -> np.ndarray:
+    """The 4×4 transfer matrix, or a batch (..., 4, 4) of them."""
     if isinstance(T, TransferMatrix):
         return T.matrix
     A = np.asarray(T, dtype=complex)
-    if A.shape != (4, 4):
+    if A.shape[-2:] != (4, 4):
         raise GeometryError(f"expected a 4×4 transfer matrix, got shape {A.shape}")
     return A
 
 
 @dataclass(frozen=True)
 class FluxForm:
-    """Hermitian flux form ``J - T* J T`` of a transfer matrix."""
+    """Hermitian flux form ``J - T* J T`` of a transfer matrix (or a batch)."""
 
     matrix: np.ndarray
 
     @property
-    def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(hermitian_parts(self.matrix).real)[0])
+    def min_eig(self):
+        """Smallest eigenvalue: a scalar, or an array over a batch."""
+        return np.linalg.eigvalsh(hermitian_parts(self.matrix).real)[..., 0]
 
 
 def flux_form(T) -> FluxForm:
     """Compute ``J - T* J T`` directly from the transfer matrix."""
     M = _as_transfer_matrix(T)
-    return FluxForm(J - M.conj().T @ J @ M)
+    return FluxForm(J - np.swapaxes(M.conj(), -1, -2) @ J @ M)
 
 
 def flux_block_expression(T) -> np.ndarray:
@@ -131,6 +133,13 @@ class WellDefinedCertificate(NamedTuple):
     flux_resolution: float
 
 
+def _row(cert: NamedTuple, i) -> NamedTuple:
+    """Entry ``i`` of a certificate of arrays, as Python scalars (a tuple for
+    a trailing axis)."""
+    values = (np.asarray(a)[i].tolist() for a in cert)
+    return type(cert)(*(tuple(v) if isinstance(v, list) else v for v in values))
+
+
 def check_well_defined(T) -> WellDefinedCertificate:
     """Certify that the boundary operator construction is well posed.
 
@@ -138,22 +147,21 @@ def check_well_defined(T) -> WellDefinedCertificate:
     0) and invertibility of all four 2×2 blocks of ``T`` (1-norm
     condition below the singularity limit). The full condition estimate of
     the pivotal block ``T12`` is reported, together with the numerical
-    resolution floor of the flux margin.
+    resolution floor of the flux margin. Python scalars for one transfer
+    matrix; for a batch (..., 4, 4), arrays over the leading axes, with
+    ``blocks_invertible`` on a trailing axis of four.
     """
     M = _as_transfer_matrix(T)
-    F = flux_form(M)
-    norm_T = float(np.linalg.norm(M, 2))
-    resolution = float(np.finfo(float).eps) * max(norm_T, 1.0) ** 2
-    conds = condition_1norm(np.stack(split_blocks(M)))
-    invertible = tuple(bool(c <= SINGULAR_CONDITION_LIMIT) for c in conds)
-    return WellDefinedCertificate(
-        flux_positive=bool(F.min_eig > 0.0),
-        flux_min_eig=F.min_eig,
-        blocks_invertible=invertible,
-        condition_T12=float(conds[1]),
-        transfer_norm=norm_T,
-        flux_resolution=resolution,
-    )
+    min_eig = flux_form(M).min_eig
+    norm_T = np.linalg.norm(M, 2, axis=(-2, -1))
+    # float_power calls libm pow as a Python float's ** does (numpy's ** 2
+    # squares), so a batch row has the floor bits of a single matrix
+    resolution = np.finfo(float).eps * np.float_power(np.maximum(norm_T, 1.0), 2)
+    conds = condition_1norm(np.stack([M[..., :2, :2], M[..., :2, 2:],
+                                      M[..., 2:, :2], M[..., 2:, 2:]], axis=-3))
+    wd = WellDefinedCertificate(min_eig > 0.0, min_eig, conds <= SINGULAR_CONDITION_LIMIT,
+                                conds[..., 1], norm_T, resolution)
+    return _row(wd, ()) if M.ndim == 2 else wd
 
 
 @dataclass(frozen=True)
@@ -244,43 +252,51 @@ class DtnCertificate:
 
 
 def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float,
-                   z0: float | None = None,
-                   z1: float | None = None) -> tuple[np.ndarray, DtnCertificate]:
-    """Boundary operators (n, 6, 6) of resolved stacks with tensors of shape
-    (n, L, 3, 3). All go through the ``T12`` singularity guard; entry 0 also
-    gets the passivity, well-posedness and positivity checks."""
-    pc = passivity_check(omega_eps[0], omega_mu[0])  # one eigvalsh over the layers
-    passivity = tuple(PassivityCertificate(*v) for v in zip(*(a.tolist() for a in pc)))
-    passive = all(p.ok for p in passivity)
+                   z0: float | None = None, z1: float | None = None,
+                   certify=True) -> tuple[np.ndarray, tuple[DtnCertificate, ...]]:
+    """Boundary operators ``batch + (6, 6)`` of resolved stacks with tensors of
+    shape ``batch + (L, 3, 3)``, and the certificates of the entries where
+    ``certify`` (broadcast to ``batch``) is true, in C order. Every entry
+    goes through the ``T12`` singularity guard; the certified ones get the
+    passivity, well-posedness and positivity checks, one batched call each."""
     T = propagate(thickness, omega_eps, omega_mu, kappa, c, z_min, z0, z1)
-    wd = check_well_defined(T[0])
-    anomalies = []
-    # margins are meaningless once |min eig| sinks below the rounding floor
-    # of J - T*JT; keep the verdict fail-closed but diagnose it honestly
-    exhausted = abs(wd.flux_min_eig) <= wd.flux_resolution
-    if passive and not wd.flux_positive:
-        if exhausted:
-            anomalies.append(
-                f"flux margin below the numerical resolution of the transfer "
-                f"route (|T| = {wd.transfer_norm:.3e}, resolution = "
-                f"{wd.flux_resolution:.3e}); result indeterminate in double "
-                f"precision")
-        else:
-            anomalies.append(
-                f"flux form not positive definite for passive input "
-                f"(min eig {wd.flux_min_eig:.3e})")
-    if passive and not all(wd.blocks_invertible):
-        anomalies.append(
-            f"transfer-matrix block numerically singular for passive input "
-            f"(cond T12 {wd.condition_T12:.3e})")
     L = _lambda_matrix(_gamma_matrix(T))
-    im_min = float(min_im_eig(L[0, TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES]))
-    if passive and wd.flux_positive and im_min <= 0.0:
-        anomalies.append(
-            f"Im of the tangential compression not positive definite "
-            f"(min eig {im_min:.3e})")
-    cert = DtnCertificate(passivity, passive, wd, im_min, tuple(anomalies))
-    return L, cert
+    mask = np.broadcast_to(certify, T.shape[:-2])
+    if not mask.any():
+        return L, ()
+    pc = passivity_check(omega_eps[mask], omega_mu[mask])  # (entries, layers) arrays
+    wds = check_well_defined(T[mask])
+    im_mins = min_im_eig(L[mask][:, TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES])
+    certs = []
+    for i, im_min in enumerate(im_mins.tolist()):
+        passivity = tuple(PassivityCertificate(*v) for v in zip(*(a[i].tolist() for a in pc)))
+        passive = all(p.ok for p in passivity)
+        wd = _row(wds, i)
+        anomalies = []
+        # margins are meaningless once |min eig| sinks below the rounding floor
+        # of J - T*JT; keep the verdict fail-closed but diagnose it honestly
+        exhausted = abs(wd.flux_min_eig) <= wd.flux_resolution
+        if passive and not wd.flux_positive:
+            if exhausted:
+                anomalies.append(
+                    f"flux margin below the numerical resolution of the transfer "
+                    f"route (|T| = {wd.transfer_norm:.3e}, resolution = "
+                    f"{wd.flux_resolution:.3e}); result indeterminate in double "
+                    f"precision")
+            else:
+                anomalies.append(
+                    f"flux form not positive definite for passive input "
+                    f"(min eig {wd.flux_min_eig:.3e})")
+        if passive and not all(wd.blocks_invertible):
+            anomalies.append(
+                f"transfer-matrix block numerically singular for passive input "
+                f"(cond T12 {wd.condition_T12:.3e})")
+        if passive and wd.flux_positive and im_min <= 0.0:
+            anomalies.append(
+                f"Im of the tangential compression not positive definite "
+                f"(min eig {im_min:.3e})")
+        certs.append(DtnCertificate(passivity, passive, wd, im_min, tuple(anomalies)))
+    return L, tuple(certs)
 
 
 def _validate_kappa_real(kappa) -> tuple[float, float]:
@@ -327,26 +343,26 @@ def dtn(stack: StackSpec, kappa, omega, z0: float, z1: float) -> tuple[DtnMap, D
         ``Im`` of the tangential compression. Theorem-contradicting outcomes
         are reported in ``certificate.anomalies`` rather than raised.
     """
-    w, k = _certified_inputs(kappa, [complex(omega)], z0, z1)
-    L, cert = _certified_dtn(*resolve_stack(stack, w), k, stack.c, stack.z_min, z0, z1)
-    return DtnMap(float(z0), float(z1), L[0]), cert
+    w, k = _certified_inputs(kappa, complex(omega), z0, z1)
+    L, (cert,) = _certified_dtn(*resolve_stack(stack, w), k, stack.c, stack.z_min, z0, z1)
+    return DtnMap(float(z0), float(z1), L), cert
 
 
-def _tensor_dtn(thickness, phase_of_layer, Z, kappa, c: float,
-                z_min: float) -> tuple[DtnMap, DtnCertificate]:
+def _tensor_dtn(thickness, phase_of_layer, Z, kappa, c: float, z_min: float,
+                certify: bool) -> tuple[DtnMap, tuple[DtnCertificate, ...]]:
     """:func:`dtn_from_tensors` of layers ``thickness``, layer ``j`` taking phase
-    ``phase_of_layer[j]`` of ``Z`` (omega*eps per phase, then omega*mu per phase)."""
+    ``phase_of_layer[j]`` of ``Z`` (omega*eps per phase, then omega*mu per
+    phase), with every entry's certificate or none."""
     k = _validate_kappa_real(kappa)
     S = np.stack(np.broadcast_arrays(*Z), axis=-3)
-    flat = S.reshape((-1,) + S.shape[-3:])
     p = np.asarray(phase_of_layer)
-    L, cert = _certified_dtn(thickness, flat[:, p], flat[:, len(Z) // 2 + p], k, c, z_min)
-    return (DtnMap(float(z_min), float(np.cumsum((z_min, *thickness))[-1]),
-                   L.reshape(S.shape[:-3] + (6, 6))), cert)
+    L, certs = _certified_dtn(thickness, S[..., p, :, :], S[..., len(Z) // 2 + p, :, :],
+                              k, c, z_min, certify=certify)
+    return DtnMap(float(z_min), float(np.cumsum((z_min, *thickness))[-1]), L), certs
 
 
-def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0,
-                     z_min: float = 0.0) -> tuple[DtnMap, DtnCertificate]:
+def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0, z_min: float = 0.0
+                     ) -> tuple[DtnMap, DtnCertificate | tuple[DtnCertificate, ...]]:
     """Boundary operator across explicitly resolved layer tensors.
 
     The tensor route drives the analyticity slices and trajectory
@@ -354,12 +370,14 @@ def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0,
     of coming from material models at a frequency.
 
     ``layer_tensors`` lists ``(thickness, omega_eps, omega_mu)`` bottom to
-    top. Tensors with (broadcasting) leading batch axes are one propagation:
-    ``matrix`` has shape ``batch + (6, 6)``, the certificate is entry 0's,
-    and every entry passes the ``T12``, normal-block and overflow guards.
+    top. Returns the :class:`DtnMap` and its :class:`DtnCertificate`.
+    Tensors with (broadcasting) leading batch axes are one propagation:
+    ``matrix`` has shape ``batch + (6, 6)``, and the certificates come as a
+    tuple, one per entry in C order, each equal to that entry's own call.
     """
     t, we, wm = zip(*layer_tensors)
-    return _tensor_dtn(t, range(len(t)), we + wm, kappa, c, z_min)
+    L, certs = _tensor_dtn(t, range(len(t)), we + wm, kappa, c, z_min, True)
+    return L, certs[0] if L.matrix.ndim == 2 else certs
 
 
 def apply_dtn(L: DtnMap, f_top, f_bottom) -> tuple[np.ndarray, np.ndarray]:

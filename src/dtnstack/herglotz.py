@@ -19,7 +19,8 @@ All evaluations are gated to ``Im z > 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from types import SimpleNamespace
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -34,7 +35,7 @@ __all__ = [
     "MaterialSpec",
     "PassivityCertificate",
     "eval_herglotz",
-    "eval_response",
+    "eval_responses",
     "make_drude",
     "make_constant",
     "vacuum_material",
@@ -171,17 +172,46 @@ class ConstantModel:
 ResponseModel = Union[HerglotzModel, DrudeModel, ConstantModel]
 
 
-def eval_response(model: ResponseModel, z) -> np.ndarray:
-    """Response values, shape ``z.shape + (dim, dim)``, wherever they are
-    finite (no half-plane gate: propagation is defined on the real axis away
-    from poles). Raises :class:`DomainError` on an overflow or a pole."""
+def _stacked(models: Sequence[ResponseModel]) -> SimpleNamespace:
+    """Stand-in for models of one kind (Herglotz models: of one pole count)
+    whose parameters carry a group axis ahead of the matrix axes (behind the
+    pole axis for poles and weights), so that the kind's ``_eval`` takes all
+    of them in one pass, elementwise as it takes each one."""
+    def stack(name, axis=0):
+        return np.stack([np.asarray(getattr(x, name)) for x in models], axis=axis)
+    m = models[0]
+    if isinstance(m, ConstantModel):
+        return SimpleNamespace(value=stack("value"))
+    if isinstance(m, DrudeModel):
+        return SimpleNamespace(dim=m.dim, plasma_freq=stack("plasma_freq")[:, None, None],
+                               collision_rate=stack("collision_rate")[:, None, None])
+    return SimpleNamespace(alpha=stack("alpha"), beta=stack("beta"),
+                           poles=stack("poles", 1)[..., None, None],
+                           weights=stack("weights", 1))
+
+
+def eval_responses(models: Sequence[ResponseModel], z) -> np.ndarray:
+    """Responses of models of one dimension, shape
+    ``z.shape + (len(models), dim, dim)``, wherever they are finite (no
+    half-plane gate: propagation is defined on the real axis away from
+    poles). Each kind is one evaluation. Raises :class:`DomainError` on an
+    overflow or a pole, naming the first such z of the first such model."""
+    zc = np.asarray(z, dtype=complex)
+    d = models[0].dim
+    out = np.empty(zc.shape + (len(models), d, d), dtype=complex)
+    kinds: dict = {}
+    for j, m in enumerate(models):
+        kinds.setdefault((type(m), m.dim, len(getattr(m, "poles", ()))), []).append(j)
     with np.errstate(all="ignore"):
-        val = model._eval(np.asarray(z, dtype=complex)[..., np.newaxis, np.newaxis])
-    finite = np.isfinite(val.view(float)).all(axis=(-2, -1))
+        for (kind, _, _), idx in kinds.items():
+            out[..., idx, :, :] = kind._eval(_stacked([models[j] for j in idx]),
+                                             zc[..., None, None, None])
+    finite = np.isfinite(out).all(axis=(-2, -1))
     if not np.all(finite):
-        bad = np.broadcast_to(np.asarray(z, dtype=complex), finite.shape)[~finite]
+        j = np.argmin(finite.reshape(-1, len(models)).all(axis=0))
+        bad = np.broadcast_to(zc, finite.shape[:-1])[~finite[..., j]]
         raise DomainError(f"model response is not finite at z={bad.flat[0]}")
-    return val
+    return out
 
 
 def eval_herglotz(model: ResponseModel, z) -> np.ndarray:
@@ -207,7 +237,7 @@ def eval_herglotz(model: ResponseModel, z) -> np.ndarray:
     if np.any(zc.imag <= 0.0):
         raise DomainError(f"evaluation point must satisfy Im z > 0, got "
                           f"z={zc[zc.imag <= 0.0].flat[0]}")
-    return eval_response(model, zc)
+    return eval_responses([model], zc)[..., 0, :, :]
 
 
 def make_drude(plasma_freq: float, collision_rate: float, dim: int = 1) -> DrudeModel:

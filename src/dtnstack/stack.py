@@ -155,18 +155,11 @@ def _integer(x, key: str) -> int:
 
 
 def _real_array(obj, key: str, shape: tuple) -> np.ndarray:
-    """Nested lists of numbers with exactly ``shape``, every entry finite."""
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except OverflowError:  # an integer beyond the double range
-        _fail(key, "entries must be finite")
-    except (TypeError, ValueError):
-        _fail(key, "expected nested lists of numbers")
+    """Nested lists of exactly ``shape`` whose entries each pass :func:`_number`."""
+    arr = np.array(obj, dtype=object)
     if arr.shape != shape:
         _fail(key, f"expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        _fail(key, "entries must be finite")
-    return arr
+    return np.array([_number(x, key) for x in arr.flat], dtype=float).reshape(shape)
 
 
 def _complex_array(obj, key: str, shape: tuple) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GeometryError, NumericRangeError, SingularMatrixError
-from .herglotz import eval_response
+from .herglotz import eval_responses
 from .linalg import as_cmatrix, mat_exp, solve
 from .stack import StackSpec, locate
 
@@ -46,12 +46,13 @@ FIELD_BATCH = 4096
 
 def resolve_stack(stack: StackSpec, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thicknesses (L,) and ``omega*eps``, ``omega*mu`` of shape
-    ``omega.shape + (L, 3, 3)`` at one frequency or an array of them."""
-    w = np.asarray(omega, dtype=complex)
-    thickness = np.array([ly.thickness for ly in stack.layers])
-    we = np.stack([eval_response(ly.material.eps_model, w) for ly in stack.layers], axis=-3)
-    wm = np.stack([eval_response(ly.material.mu_model, w) for ly in stack.layers], axis=-3)
-    return thickness, we, wm
+    ``omega.shape + (L, 3, 3)`` at one frequency or an array of them, from
+    one evaluation per model kind (:func:`~dtnstack.herglotz.eval_responses`,
+    every eps model before every mu model)."""
+    L = len(stack.layers)
+    Z = eval_responses([ly.material.eps_model for ly in stack.layers]
+                       + [ly.material.mu_model for ly in stack.layers], omega)
+    return np.array([ly.thickness for ly in stack.layers]), Z[..., :L, :, :], Z[..., L:, :, :]
 
 
 def resolve_layers(stack: StackSpec, omega) -> list[tuple[float, np.ndarray, np.ndarray]]:

@@ -8,6 +8,7 @@ from dtnstack import (
     MaterialSpec,
     NumericRangeError,
     ParameterError,
+    SingularMatrixError,
     StackSpec,
     certify_point,
     cr_residual,
@@ -19,9 +20,11 @@ from dtnstack import (
     scalar_sample,
     slice_analyticity,
 )
+from dtnstack import analyticity
 from dtnstack.analyticity import (
     CR_OFFSETS,
     RESOLVE_BATCH,
+    _certified_points,
     _stencil_residual,
     default_cr_step,
     phase_dtn,
@@ -162,6 +165,56 @@ def test_herglotz_certify_chunks_match_certify_point(rng):
         single, _ = certify_point(s, kappa, w, step=2e-5)
         assert rec[:4] == single[:4]
         assert np.array_equal(rec.compression, single.compression)
+
+
+@pytest.mark.parametrize("points_per_chunk", [1, 12], ids=["one-point", "whole-grid"])
+def test_chunk_size_changes_no_record_certificate_or_anomaly(monkeypatch, points_per_chunk):
+    # thick lossy layers exhaust the flux resolution at some points (an
+    # anomaly each); the default chunk holds the whole grid of 12 points
+    def lossy(label, diag):
+        return MaterialSpec(label, ConstantModel(np.diag(diag)), ConstantModel(np.eye(3)))
+    s = StackSpec(z_min=0.0, layers=(
+        Layer(7.5, lossy("a", [2 + 0.5j, 3 + 0.3j, 2.5 + 0.4j])),
+        Layer(7.5, lossy("b", [2 + 0.4j] * 3))))
+    grid = omega_grid_points(0.2, 1.5, 4, 0.2, 1.0, 3)
+    reference = list(_certified_points(s, (0.8, 0.0), grid, None, None, None))
+    monkeypatch.setattr(analyticity, "RESOLVE_BATCH", 5 * len(s.layers) * points_per_chunk)
+    chunked = list(_certified_points(s, (0.8, 0.0), grid, None, None, None))
+    assert 0 < sum(len(cert.anomalies) for _, cert in reference) < len(grid)
+    for (rec, cert), (ref_rec, ref_cert) in zip(chunked, reference, strict=True):
+        assert rec[:4] == ref_rec[:4]
+        assert np.array_equal(rec.compression, ref_rec.compression)
+        assert cert == ref_cert
+    hc = herglotz_certify(s, (0.8, 0.0), grid)
+    assert hc.anomalies == tuple(a for _, cert in reference for a in cert.anomalies)
+
+
+def _singular_then_overflowing_stack():
+    # eps_11 = mu_22 = pi(1 - i)/2 over unit thickness: at omega = n(1 + i)
+    # one polarisation's phase is n*pi, so T12 is singular; at 1000 + 1j the
+    # gain overflows the layer exponential
+    v = np.pi * (1 - 1j) / 2
+    m = MaterialSpec("gain", ConstantModel(np.diag([v, 1, 1])),
+                     ConstantModel(np.diag([1, v, 1])))
+    return StackSpec(z_min=0.0, layers=(Layer(1.0, m),))
+
+
+@pytest.mark.parametrize("grid, error, first", [
+    ([1 + 1j, 1000 + 1j], SingularMatrixError, 1 + 1j),
+    ([1000 + 1j, 1 + 1j], NumericRangeError, 1000 + 1j),
+    ([1 + 1j, 2 + 2j], SingularMatrixError, 1 + 1j),
+    ([2 + 2j, 1 + 1j], SingularMatrixError, 2 + 2j),
+])
+def test_errors_inside_a_chunk_come_in_grid_order(grid, error, first):
+    # one chunk holds both points; its error is the first failing point's
+    # own, message and condition estimate included, not the chunk's worst
+    s = _singular_then_overflowing_stack()
+    with pytest.raises(error) as own:
+        certify_point(s, (0.0, 0.0), first)
+    with pytest.raises(error) as chunk:
+        herglotz_certify(s, (0.0, 0.0), grid)
+    assert str(chunk.value) == str(own.value)
+    assert getattr(chunk.value, "condition", None) == getattr(own.value, "condition", None)
 
 
 def test_herglotz_certify_reports_material_errors_of_a_chunk_first():

@@ -234,6 +234,37 @@ def test_nonfinite_config_entry_is_named_input_error(tmp_path, capsys, command,
     assert not (tmp_path / "report.json").exists()
 
 
+def _set_kappa(doc, v):
+    doc["kappa"] = [v, 0.0]
+
+
+def _set_traj_L0(doc, v):
+    doc["trajectory"] = {"L0": [[v, 0, 0], [0, 0, 0], [0, 0, 0]]}
+
+
+@pytest.mark.parametrize("command", ["transfer", "dtn", "certify", "energy", "sweep",
+                                     "trajectory"])
+@pytest.mark.parametrize("value", ["0.5", True, None], ids=["str", "bool", "null"])
+@pytest.mark.parametrize("key, put", [
+    ("kappa", _set_kappa),
+    ("psi0", _set_psi0),
+    ("trajectory.f", _set_traj_f),
+    ("trajectory.L0", _set_traj_L0),
+    ("stack.layers[0].material.eps.value", _set_eps_value),
+])
+def test_non_number_config_entry_is_named_input_error(tmp_path, capsys, command,
+                                                      value, key, put):
+    # array entries are read as _number reads a scalar: a numeric string or a
+    # bool used to be converted ("kappa": ["0.5", 0] ran transfer to exit 0)
+    doc = json.loads(VACUUM.read_text())
+    put(doc, value)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli([command, "--config", p, "--out", tmp_path]) == 1
+    assert f"{key}: expected a number, got {type(value).__name__}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ------------------------------------------------------------- determinism
 
 def test_report_bodies_byte_identical_across_runs(tmp_path):

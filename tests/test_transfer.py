@@ -5,7 +5,9 @@ import pytest
 
 from dtnstack import (
     ConstantModel,
+    DomainError,
     GeometryError,
+    HerglotzModel,
     Layer,
     MaterialSpec,
     SingularMatrixError,
@@ -13,12 +15,15 @@ from dtnstack import (
     build_A,
     field_profile,
     layer_propagator,
+    make_drude,
     normal_components,
     transfer,
 )
-from dtnstack.transfer import J, resolve_layers
+from dtnstack.transfer import J, resolve_layers, resolve_stack
 from generators import (
     rand_constant_material,
+    rand_drude_material,
+    rand_herglotz_model,
     rand_kappa,
     rand_omega,
     rand_posdef,
@@ -26,6 +31,28 @@ from generators import (
     vacuum_slab,
 )
 from oracles import J_ORACLE, ode_transfer_oracle
+
+
+def _per_model(stack, z):
+    """Each layer's models evaluated one at a time in resolve_stack's order
+    (every eps model, then every mu model): the stacked evaluation's
+    reference."""
+    return [m._eval(np.asarray(z, dtype=complex)[..., None, None])
+            for m in [ly.material.eps_model for ly in stack.layers]
+            + [ly.material.mu_model for ly in stack.layers]]
+
+
+def _mixed_stack(rng, poles=(1, 2, 3, 2, 1, 3)):
+    # constant, Drude and Herglotz layers, the Herglotz ones of several pole
+    # counts in eps and in mu
+    layers = [Layer(0.3, rand_constant_material(rng, label="c")),
+              Layer(0.2, rand_drude_material(rng, label="d"))]
+    for j in range(0, len(poles), 2):
+        m = MaterialSpec(f"h{j}", rand_herglotz_model(rng, poles[j]),
+                         rand_herglotz_model(rng, poles[j + 1]))
+        layers.append(Layer(0.1 * (j + 1), m))
+    layers.append(Layer(0.4, rand_constant_material(rng, label="c2")))
+    return StackSpec(z_min=-0.3, layers=tuple(layers))
 
 
 def test_vacuum_system_matrix_normal_incidence():
@@ -224,3 +251,46 @@ def test_field_profile_normal_components_consistent(rng):
 
 def test_oracle_j_matches_package_j():
     assert np.array_equal(J, J_ORACLE)
+
+
+def test_resolve_stack_equals_per_model_evaluation_bitwise(rng):
+    s = _mixed_stack(rng)
+    z = rng.standard_normal((4, 5)) + 1j * rng.uniform(0.01, 2.0, (4, 5))
+    thickness, we, wm = resolve_stack(s, z)
+    L = len(s.layers)
+    ref = _per_model(s, z)
+    assert we.shape == wm.shape == (4, 5, L, 3, 3)
+    assert np.array_equal(thickness, [ly.thickness for ly in s.layers])
+    for j in range(L):
+        for got, want in ((we[..., j, :, :], ref[j]), (wm[..., j, :, :], ref[L + j])):
+            assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  want.view(np.uint64))
+
+
+def test_resolve_stack_names_first_nonfinite_model_then_z(rng):
+    # poles on the real axis: eps of layer 3 at 0.5, eps of layer 4 at -1
+    # (earlier on the grid) and mu of layer 0 at 2; eps is resolved first,
+    # so the error names layer 3's pole
+    def pole_at(p):
+        return HerglotzModel(dim=3, alpha=np.eye(3), beta=np.zeros((3, 3)),
+                             poles=[p], weights=[0.1 * np.eye(3)])
+    s = _mixed_stack(rng)
+    layers = list(s.layers)
+    layers[0] = Layer(0.3, MaterialSpec("p0", layers[0].material.eps_model, pole_at(2.0)))
+    layers[3] = Layer(0.3, MaterialSpec("p3", pole_at(0.5), layers[3].material.mu_model))
+    layers[4] = Layer(0.3, MaterialSpec("p4", pole_at(-1.0), layers[4].material.mu_model))
+    s = StackSpec(z_min=0.0, layers=tuple(layers))
+    z = np.array([[1 + 1j, -1.0], [2.0, 0.5]])
+    with np.errstate(all="ignore"):
+        ref = _per_model(s, z)
+    j = next(j for j, v in enumerate(ref) if not np.isfinite(v).all())
+    first = z[~np.isfinite(ref[j]).all(axis=(-2, -1))][0]
+    assert (j, first) == (3, 0.5)
+    with pytest.raises(DomainError) as exc:
+        resolve_stack(s, z)
+    assert str(exc.value) == f"model response is not finite at z={first}"
+    # a Drude pole (gamma = 0 at z = 0) in mu is named after every eps pole
+    drude = MaterialSpec("d", layers[1].material.eps_model, make_drude(1.0, 0.0, dim=3))
+    s = StackSpec(z_min=0.0, layers=(Layer(1.0, drude), Layer(1.0, layers[3].material)))
+    with pytest.raises(DomainError, match=r"z=\(0\.5\+0j\)"):
+        resolve_stack(s, np.array([0.0, 0.5]))
