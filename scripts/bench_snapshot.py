@@ -47,7 +47,7 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def last_json_line(root: Path, workload: str, seconds: float, trace: int,
-                   seed: int = SEED) -> dict:
+                   seed: int) -> dict:
     """Run one benchmark pass set and return its final JSON line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),

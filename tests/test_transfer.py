@@ -42,14 +42,14 @@ def _per_model(stack, z):
             + [ly.material.mu_model for ly in stack.layers]]
 
 
-def _mixed_stack(rng, poles=(1, 2, 3, 2, 1, 3)):
+def _mixed_stack(rng):
     # constant, Drude and Herglotz layers, the Herglotz ones of several pole
     # counts in eps and in mu
     layers = [Layer(0.3, rand_constant_material(rng, label="c")),
               Layer(0.2, rand_drude_material(rng, label="d"))]
-    for j in range(0, len(poles), 2):
-        m = MaterialSpec(f"h{j}", rand_herglotz_model(rng, poles[j]),
-                         rand_herglotz_model(rng, poles[j + 1]))
+    for j, (eps_poles, mu_poles) in enumerate([(1, 2), (3, 2), (1, 3)]):
+        m = MaterialSpec(f"h{j}", rand_herglotz_model(rng, eps_poles),
+                         rand_herglotz_model(rng, mu_poles))
         layers.append(Layer(0.1 * (j + 1), m))
     layers.append(Layer(0.4, rand_constant_material(rng, label="c2")))
     return StackSpec(z_min=-0.3, layers=tuple(layers))
