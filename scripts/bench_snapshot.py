@@ -18,7 +18,7 @@ each run, the seed, ``run_seconds``, ``perfbench/machine.json`` and the
 tier-1 wall time of the measured checkout.
 
 With ``--base OTHER_ROOT`` the snapshot is a paired measurement of the base
-checkout against ``--root``: per workload, ``--pairs`` pairs of ``--trace 0``
+checkout against ``--root``: per workload, ``PAIRS`` pairs of ``--trace 0``
 runs, base and head alternately (the side that runs first alternates too, so
 drift on a shared host falls on both). The file holds each pair's six
 end-to-end metrics and, per metric, each side's median and quartiles, the
@@ -43,6 +43,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 #: every snapshot runs at this seed, so entries of the history compare
 SEED = 5
+#: alternating base/head pairs per workload of a paired snapshot
+PAIRS = 10
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -95,14 +97,14 @@ def pair_summary(pairs: list, better: dict) -> dict:
     return out
 
 
-def paired(base: Path, head: Path, bench: dict, k: int, seed: int) -> dict:
+def paired(base: Path, head: Path, bench: dict, seed: int) -> dict:
     """Alternating ``--trace 0`` pairs per workload, plus one traced run per side."""
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = {}
     for w in bench["workloads"]:
         name, pairs = w["name"], []
-        for i in range(k):
+        for i in range(PAIRS):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             runs = {side: last_json_line(base if side == "base" else head, name,
                                          seconds, 0, seed)["metrics"]
@@ -133,12 +135,9 @@ def main(argv=None) -> int:
     p.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
     p.add_argument("--base", type=Path,
                    help="checkout to pair against (paired snapshot)")
-    p.add_argument("--pairs", type=int, default=10, help="pairs per workload with --base")
     p.add_argument("--seed", type=int, default=SEED,
                    help=f"workload seed (default {SEED}, the history's)")
     args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2 (quartiles need two runs a side)")
     root = args.root.resolve()
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
@@ -153,7 +152,7 @@ def main(argv=None) -> int:
     if args.base is not None:
         base = args.base.resolve()
         snapshot["base_commit"] = _commit(base)
-        snapshot["workloads"] = paired(base, root, bench, args.pairs, args.seed)
+        snapshot["workloads"] = paired(base, root, bench, args.seed)
     else:
         workloads = {}
         for w in bench["workloads"]:

@@ -156,7 +156,7 @@ def _certified_points(stack: StackSpec, kappa, grid: Sequence[complex],
             L, certs = _certified_dtn(thickness, we, wm, *fixed, certify=CR_OFFSETS == 0)
         except (SingularMatrixError, NumericRangeError):
             for i in range(len(we)):
-                _certified_dtn(thickness, we[i], wm[i], *fixed, certify=False)
+                _certified_dtn(thickness, we[i], wm[i], *fixed, certify=CR_OFFSETS == 0)
             raise
         comp = L[..., TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES]
         res = _stencil_residual(np.moveaxis(comp, 1, 0), steps[part, None, None])

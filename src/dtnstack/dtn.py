@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError, GeometryError
+from .exceptions import DomainError, GeometryError, NumericRangeError
 from .herglotz import PassivityCertificate, passivity_check
 from .linalg import (
     SINGULAR_CONDITION_LIMIT,
@@ -90,9 +90,14 @@ class FluxForm:
 
 
 def flux_form(T) -> FluxForm:
-    """Compute ``J - T* J T`` directly from the transfer matrix."""
+    """Compute ``J - T* J T`` directly from the transfer matrix. Raises
+    :class:`NumericRangeError` if a finite ``T`` overflows it."""
     M = _as_transfer_matrix(T)
-    return FluxForm(J - np.swapaxes(M.conj(), -1, -2) @ J @ M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = J - np.swapaxes(M.conj(), -1, -2) @ J @ M
+    if not np.all(np.isfinite(F)) and np.all(np.isfinite(M)):
+        raise NumericRangeError(f"flux form overflowed (max |T_ij| = {np.max(np.abs(M)):.3e})")
+    return FluxForm(F)
 
 
 def flux_block_expression(T) -> np.ndarray:
@@ -362,7 +367,7 @@ def _tensor_dtn(thickness, phase_of_layer, Z, kappa, c: float, z_min: float,
 
 
 def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0, z_min: float = 0.0
-                     ) -> tuple[DtnMap, DtnCertificate | tuple[DtnCertificate, ...]]:
+                     ) -> tuple[DtnMap, tuple[DtnCertificate, ...]]:
     """Boundary operator across explicitly resolved layer tensors.
 
     The tensor route drives the analyticity slices and trajectory
@@ -370,14 +375,14 @@ def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0, z_min: float = 0.0
     of coming from material models at a frequency.
 
     ``layer_tensors`` lists ``(thickness, omega_eps, omega_mu)`` bottom to
-    top. Returns the :class:`DtnMap` and its :class:`DtnCertificate`.
-    Tensors with (broadcasting) leading batch axes are one propagation:
-    ``matrix`` has shape ``batch + (6, 6)``, and the certificates come as a
-    tuple, one per entry in C order, each equal to that entry's own call.
+    top. Returns the :class:`DtnMap` and a tuple of :class:`DtnCertificate`,
+    one per entry in C order (one for unbatched tensors). Tensors with
+    (broadcasting) leading batch axes are one propagation: ``matrix`` has
+    shape ``batch + (6, 6)``, and each entry's certificate equals that
+    entry's own call.
     """
     t, we, wm = zip(*layer_tensors)
-    L, certs = _tensor_dtn(t, range(len(t)), we + wm, kappa, c, z_min, True)
-    return L, certs[0] if L.matrix.ndim == 2 else certs
+    return _tensor_dtn(t, range(len(t)), we + wm, kappa, c, z_min, True)
 
 
 def apply_dtn(L: DtnMap, f_top, f_bottom) -> tuple[np.ndarray, np.ndarray]:

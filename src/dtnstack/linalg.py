@@ -110,24 +110,15 @@ _THETA13 = 5.371920351148152
 
 
 def _pade(A: np.ndarray, b: tuple) -> np.ndarray:
-    """Unscaled Padé approximant of degree below 13 of a batch of matrices.
-    ``U`` and ``V`` accumulate in place by ascending power of ``A²``, and each
-    power is dropped once the next is formed."""
+    """Unscaled Padé approximant of degree below 13 of a batch of matrices."""
     eye = np.eye(A.shape[-1], dtype=complex)
     A2 = A @ A
-    U = b[1] * eye + b[3] * A2
-    V = b[0] * eye + b[2] * A2
-    P = A2
-    for k in range(2, len(b) // 2):
-        P = P @ A2
-        U += b[2 * k + 1] * P
-        V += b[2 * k] * P
-    del A2, P
-    U = A @ U
-    num = V + U
-    V -= U
-    del U
-    return np.linalg.solve(V, num)
+    powers = [eye, A2]  # the even powers A^0, A^2, ..., A^(m-1)
+    while len(powers) < len(b) // 2:
+        powers.append(powers[-1] @ A2)
+    U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
+    V = sum(b[2 * k] * P for k, P in enumerate(powers))
+    return np.linalg.solve(V - U, V + U)
 
 
 def _pade13(A: np.ndarray, norm: np.ndarray) -> np.ndarray:

@@ -217,6 +217,21 @@ def test_errors_inside_a_chunk_come_in_grid_order(grid, error, first):
     assert getattr(chunk.value, "condition", None) == getattr(own.value, "condition", None)
 
 
+def test_a_certificate_error_comes_before_a_later_points_propagation_error():
+    # kappa = 200 over thickness 2: at 1 + 1j the transfer matrix is finite
+    # (|T| ~ 1e175) but its flux form overflows, which only that centre's
+    # certificate finds; at 300j the layer exponential itself overflows
+    m = MaterialSpec("vacuum", ConstantModel(np.eye(3)), ConstantModel(np.eye(3)))
+    s = StackSpec(z_min=-1.0, layers=(Layer(2.0, m),))
+    with pytest.raises(NumericRangeError, match="flux form overflowed") as own:
+        certify_point(s, (200.0, 0.0), 1 + 1j)
+    with pytest.raises(NumericRangeError, match="mat_exp overflowed"):
+        certify_point(s, (200.0, 0.0), 300j)
+    with pytest.raises(NumericRangeError) as chunk:
+        herglotz_certify(s, (200.0, 0.0), [1 + 1j, 300j])
+    assert str(chunk.value) == str(own.value)
+
+
 def test_herglotz_certify_reports_material_errors_of_a_chunk_first():
     # wp = 1e150: the response at 10+1j is finite but overflows the
     # propagation (exit 2); at 1e-10(1+i) the response itself overflows

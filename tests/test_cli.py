@@ -188,6 +188,21 @@ def test_overflowing_system_matrix_is_named_anomaly(tmp_path, capsys, command,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["transfer", "dtn", "certify", "sweep"])
+def test_overflowing_flux_form_is_named_anomaly(tmp_path, capsys, command):
+    # kappa = 200 over thickness 2: the transfer matrix (|T| ~ 1e175) is
+    # finite but J - T*JT overflows; exit 2, not a RuntimeWarning or an
+    # OverflowError from the flux resolution floor
+    doc = json.loads(VACUUM.read_text())
+    doc["kappa"] = [200.0, 0.0]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli([command, "--config", p, "--out", tmp_path]) == 2
+    assert "numerical anomaly: flux form overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def _set_psi0(doc, v):
     doc["psi0"] = [[1, 0], [0, v], [0, 0], [0, 0]]
 

@@ -247,8 +247,8 @@ def test_dtn_from_tensors_matches_stack_route(rng):
     s = rand_stack(rng, max_layers=3)
     kap, om = rand_kappa(rng), rand_omega(rng)
     L1, c1 = dtn(s, kap, om, s.z_min, s.z_max)
-    L2, c2 = dtn_from_tensors(resolve_layers(s, om), kap, c=s.c,
-                              z_min=s.z_min)
+    L2, (c2,) = dtn_from_tensors(resolve_layers(s, om), kap, c=s.c,
+                                 z_min=s.z_min)
     assert np.allclose(L1.matrix, L2.matrix, atol=1e-13)
     assert c1.ok and c2.ok
 
@@ -267,7 +267,7 @@ def test_dtn_from_tensors_batch_matches_single_entries(rng):
     assert [b.shape for b in L.blocks] == [(5, 3, 3)] * 4
     assert len(certs) == 5
     for k, layers in enumerate(per):
-        Lk, ck = dtn_from_tensors(layers, kap, c=s.c, z_min=s.z_min)
+        Lk, (ck,) = dtn_from_tensors(layers, kap, c=s.c, z_min=s.z_min)
         assert (L.z0, L.z1) == (Lk.z0, Lk.z1)
         assert np.array_equal(L.matrix[k], Lk.matrix)
         assert certs[k] == ck and ck.ok

@@ -8,8 +8,6 @@ from dtnstack import (
 )
 from dtnstack.dtn import DtnMap
 from dtnstack.linalg import (
-    _PADE,
-    _pade,
     as_cmatrix,
     condition_1norm,
     hermitian_parts,
@@ -115,27 +113,6 @@ def test_mat_exp_batch_matches_single_calls(rng):
     for M, EM in zip(mixed, E):
         single = mat_exp(M)
         assert np.linalg.norm(EM - single) <= 1e-14 * np.linalg.norm(single)
-
-
-def _pade_reference(A, b):
-    """The Padé approximant with every power of A² kept and U, V summed in
-    ascending order, as one expression each."""
-    eye = np.eye(A.shape[-1], dtype=complex)
-    A2 = A @ A
-    powers = [eye, A2]
-    while len(powers) < len(b) // 2:
-        powers.append(powers[-1] @ A2)
-    U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
-    V = sum(b[2 * k] * P for k, P in enumerate(powers))
-    return np.linalg.solve(V - U, V + U)
-
-
-@pytest.mark.parametrize("degree", [3, 5, 7, 9])
-def test_pade_in_place_accumulation_is_bitwise_the_reference(rng, degree):
-    A = 0.3 * (rng.standard_normal((40, 4, 4)) + 1j * rng.standard_normal((40, 4, 4)))
-    A[::5] = 0.0
-    got, want = _pade(A, _PADE[degree]), _pade_reference(A, _PADE[degree])
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_as_cmatrix_accepts_a_strided_last_axis(rng):
