@@ -42,7 +42,7 @@ __all__ = [
 #: most (stencil frequency, layer) pairs that :func:`herglotz_certify`
 #: resolves, propagates and certifies in one pass, five stencil frequencies
 #: per grid point: bounds the pass's arrays whatever the grid size (peak
-#: 2.0-2.6 KB per pair, in ``mat_exp``, on 16 and 64 layers)
+#: 2.4-3.1 KB per pair, in ``mat_exp``, on 16 and 64 layers)
 RESOLVE_BATCH = 1024
 
 #: CR stencil points ``z + h * CR_OFFSETS`` (centre first) for step ``h``
