@@ -1,32 +1,24 @@
-"""Record one point of the performance history as ``BENCH_<label>.json``.
+"""Record one paired point of the performance history as ``BENCH_<label>.json``.
 
 Run from the root of a checkout::
 
-    python3 scripts/bench_snapshot.py --label mylabel
-    python3 scripts/bench_snapshot.py --label base --root ../other-checkout
     python3 scripts/bench_snapshot.py --label mylabel --base ../parent-checkout
+    python3 scripts/bench_snapshot.py --label base --base ../a --root ../b
 
-For every workload of ``BENCHMARK.json`` it runs ``perfbench/run.py`` once
-with ``--trace 0`` (end-to-end metrics) and once with ``--trace 1``
-(per-layer metrics), at seed ``SEED`` and the ``run_seconds`` of
-``BENCHMARK.json`` so that every entry of the history is comparable, then
-times the tier-1 test suite. ``--root`` picks the checkout to measure
-(default: the one holding this script); the snapshot is written at the root
-of the checkout holding this script, so the history of another commit can be
-recorded here. The file holds the last JSON line of
-each run, the seed, ``run_seconds``, ``perfbench/machine.json`` and the
-tier-1 wall time of the measured checkout.
-
-With ``--base OTHER_ROOT`` the snapshot is a paired measurement of the base
-checkout against ``--root``: per workload, ``PAIRS`` pairs of ``--trace 0``
-runs, base and head alternately (the side that runs first alternates too, so
-drift on a shared host falls on both). The file holds each pair's six
+The snapshot is a paired measurement of the ``--base`` checkout against
+``--root`` (default: the checkout holding this script): per workload of
+``BENCHMARK.json``, ``PAIRS`` pairs of ``perfbench/run.py --trace 0`` runs,
+base and head alternately (the side that runs first alternates too, so drift
+on a shared host falls on both), at seed ``--seed`` (default ``SEED``) and
+the ``run_seconds`` of ``BENCHMARK.json``. The file holds each pair's six
 end-to-end metrics and, per metric, each side's median and quartiles, the
 median of the per-pair head/base ratios, the head's wins (ties count for
 neither) and whether the gain rule holds: wins in at least nine tenths of
 the pairs and a median difference beyond the base's interquartile range.
-The one ``--trace 1`` run per side and the tier-1 time of the head are
-host-dependent absolutes, kept for their counts.
+One ``--trace 1`` run per side (per-layer metrics), the tier-1 time of the
+head and ``perfbench/machine.json`` are host-dependent absolutes, kept for
+their counts. The file is written at the root of the checkout holding this
+script.
 """
 from __future__ import annotations
 
@@ -133,35 +125,22 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     p.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
-    p.add_argument("--base", type=Path,
-                   help="checkout to pair against (paired snapshot)")
+    p.add_argument("--base", type=Path, required=True, help="checkout to pair against")
     p.add_argument("--seed", type=int, default=SEED,
                    help=f"workload seed (default {SEED}, the history's)")
     args = p.parse_args(argv)
-    root = args.root.resolve()
+    root, base = args.root.resolve(), args.base.resolve()
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = bench["run_seconds"]
     snapshot = {
         "label": args.label,
         "commit": _commit(root),
+        "base_commit": _commit(base),
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": args.seed,
-        "run_seconds": seconds,
+        "run_seconds": bench["run_seconds"],
         "machine": json.loads((root / "perfbench" / "machine.json").read_text(encoding="utf-8")),
+        "workloads": paired(base, root, bench, args.seed),
     }
-    if args.base is not None:
-        base = args.base.resolve()
-        snapshot["base_commit"] = _commit(base)
-        snapshot["workloads"] = paired(base, root, bench, args.seed)
-    else:
-        workloads = {}
-        for w in bench["workloads"]:
-            name = w["name"]
-            workloads[name] = {f"trace{t}": last_json_line(root, name, seconds, t, args.seed)
-                               for t in (0, 1)}
-            print(f"{name}: points_per_s = "
-                  f"{workloads[name]['trace0']['metrics']['points_per_s']['value']:.4g}")
-        snapshot["workloads"] = workloads
     snapshot["tier1"] = tier1(root)
     out = HERE / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n", encoding="utf-8")

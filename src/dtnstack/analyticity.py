@@ -20,7 +20,7 @@ import numpy as np
 from .dtn import (TANGENTIAL_INDICES, DtnCertificate, DtnMap, _certified_dtn,
                   _certified_inputs, _tensor_dtn)
 from .exceptions import DomainError, NumericRangeError, ParameterError, SingularMatrixError
-from .linalg import as_cmatrix, min_im_eig
+from .linalg import MAT_EXP_BATCH, as_cmatrix, min_im_eig
 from .stack import StackSpec
 from .transfer import resolve_stack
 
@@ -38,12 +38,6 @@ __all__ = [
     "phase_dtn",
 ]
 
-
-#: most (stencil frequency, layer) pairs that :func:`herglotz_certify`
-#: resolves, propagates and certifies in one pass, five stencil frequencies
-#: per grid point: bounds the pass's arrays whatever the grid size (peak
-#: 2.4-3.1 KB per pair, in ``mat_exp``, on 16 and 64 layers)
-RESOLVE_BATCH = 1024
 
 #: CR stencil points ``z + h * CR_OFFSETS`` (centre first) for step ``h``
 CR_OFFSETS = np.array([0.0, 1.0, -1.0, 1j, -1j])
@@ -131,38 +125,47 @@ class PointRecord(NamedTuple):
     compression: np.ndarray
 
 
+def _stencil_pass(points, step: float | None, per_call: int, evaluate: Callable):
+    """``(centre value, worst CR residual, *extras)`` of each point in turn,
+    from one ``evaluate(stencils)`` per chunk of at most ``per_call`` points'
+    stencils, shape (k, 5), which returns values of leading shape (k, 5) and
+    extras of k entries. A chunk raising :class:`SingularMatrixError` or
+    :class:`NumericRangeError` is re-run point by point, so its error is the
+    first failing point's own."""
+    stencils, steps = map(np.array, zip(*(_stencil(complex(z), step) for z in points)))
+    for start in range(0, len(stencils), per_call):
+        part = slice(start, start + per_call)
+        try:
+            values, *extras = evaluate(stencils[part])
+        except (SingularMatrixError, NumericRangeError):
+            for i in range(*part.indices(len(stencils))):
+                evaluate(stencils[i:i + 1])
+            raise
+        v = np.moveaxis(values.reshape(values.shape[:2] + (-1,)), 1, 0)
+        worst = np.max(_stencil_residual(v, steps[part, None]), axis=-1)
+        yield from zip(values[:, 0], worst.tolist(), *extras)
+
+
 def _certified_points(stack: StackSpec, kappa, grid: Sequence[complex],
                       z0: float | None, z1: float | None, step: float | None):
-    """``(PointRecord, DtnCertificate)`` of each grid point in turn.
-
-    Every stencil passes the ``Im omega > 0`` and real-``kappa`` gates before
-    any work. Each chunk of grid points (at most :data:`RESOLVE_BATCH`
-    frequency-layer pairs, or one point) is one pass: its materials are
-    resolved, its frequencies and their stencil neighbours propagated, and
-    its centres certified together. A numerical error in a pass is raised as
-    the chunk's first failing point raises it on its own.
-    """
+    """``(PointRecord, DtnCertificate)`` of each grid point in turn, after the
+    ``Im omega > 0`` and real-``kappa`` gates of every point. Each
+    :func:`_stencil_pass` chunk, at most :data:`MAT_EXP_BATCH` frequency-layer
+    pairs (or one point), is resolved, propagated and certified in one pass."""
     z0 = stack.z_min if z0 is None else float(z0)
     z1 = stack.z_max if z1 is None else float(z1)
-    omegas = [complex(w) for w in grid]
-    stencils, steps = map(np.array, zip(*(_stencil(w, step) for w in omegas)))
-    stencils, k = _certified_inputs(kappa, stencils, z0, z1)
-    fixed = (k, stack.c, stack.z_min, z0, z1)
-    chunk = max(1, RESOLVE_BATCH // (len(CR_OFFSETS) * len(stack.layers)))
-    for start in range(0, len(omegas), chunk):
-        part = slice(start, start + chunk)
-        thickness, we, wm = resolve_stack(stack, stencils[part])
-        try:
-            L, certs = _certified_dtn(thickness, we, wm, *fixed, certify=CR_OFFSETS == 0)
-        except (SingularMatrixError, NumericRangeError):
-            for i in range(len(we)):
-                _certified_dtn(thickness, we[i], wm[i], *fixed, certify=CR_OFFSETS == 0)
-            raise
-        comp = L[..., TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES]
-        res = _stencil_residual(np.moveaxis(comp, 1, 0), steps[part, None, None])
-        for w, r, centre, cert in zip(omegas[part], res, comp[:, 0], certs):
-            yield PointRecord(w, cert.im_min_eig, float(np.max(r)),
-                              cert.well_defined.condition_T12, centre), cert
+    omegas, k = _certified_inputs(kappa, grid, z0, z1)
+
+    def evaluate(stencils):
+        L, certs = _certified_dtn(*resolve_stack(stack, stencils), k, stack.c,
+                                  stack.z_min, z0, z1, certify=CR_OFFSETS == 0)
+        return L[..., TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES], certs
+
+    chunk = max(1, MAT_EXP_BATCH // (len(CR_OFFSETS) * len(stack.layers)))
+    for w, (centre, worst, cert) in zip(omegas.tolist(),
+                                         _stencil_pass(omegas, step, chunk, evaluate)):
+        yield PointRecord(w, cert.im_min_eig, worst,
+                          cert.well_defined.condition_T12, centre), cert
 
 
 def certify_point(stack: StackSpec, kappa, omega, z0: float | None = None,

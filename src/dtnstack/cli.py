@@ -34,7 +34,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +49,12 @@ from .analyticity import (
 )
 from .dtn import dtn, energy_balance, flux_form
 from .exceptions import (
+    ContractError,
     NumericRangeError,
     SingularMatrixError,
     ToolkitError,
 )
-from .herglotz import passivity_check
+from .herglotz import _require_hermitian, passivity_check
 from .report import emit_report, make_report_body, write_sweep_csv
 from .stack import (
     StackSpec,
@@ -165,7 +166,9 @@ def parse_run_config(doc: dict, command: str) -> RunConfig:
          else np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=complex))
     if "L0" in traj:
         L0 = _real_array(traj["L0"], "trajectory.L0", (3, 3))
-        if not np.allclose(L0, L0.T, atol=1e-12):
+        try:
+            _require_hermitian(L0, "L0")
+        except ContractError:
             _fail("trajectory.L0", "must be symmetric")
     else:
         L0 = np.zeros((3, 3))
@@ -327,6 +330,7 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dtnstack",
                      description="Transfer matrices, boundary operators, and "

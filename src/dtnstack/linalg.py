@@ -31,6 +31,10 @@ __all__ = [
 #: 1-norm condition number beyond which solves are refused
 SINGULAR_CONDITION_LIMIT = 1e12
 
+#: most matrices a batched pass (a grid chunk, a layer's field samples) hands
+#: one :func:`mat_exp` call: bounds its temporaries whatever the input size
+MAT_EXP_BATCH = 1024
+
 
 class HermitianPair(NamedTuple):
     """Hermitian matrices ``real`` and ``imag`` with ``M = real + i*imag``."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import GeometryError, NumericRangeError, SingularMatrixError
 from .herglotz import eval_responses
-from .linalg import as_cmatrix, mat_exp, solve
+from .linalg import MAT_EXP_BATCH, as_cmatrix, mat_exp, solve
 from .stack import StackSpec, locate
 
 __all__ = [
@@ -38,10 +38,6 @@ RHO = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 #: 4×4 flux matrix [[0, RHO], [RHO*, 0]]; Hermitian, J @ J = I
 J = np.block([[np.zeros((2, 2)), RHO], [RHO.conj().T, np.zeros((2, 2))]]).astype(complex)
-
-#: most sample offsets exponentiated per call: bounds the temporaries of
-#: :func:`field_profile` (about 4 KB per offset) whatever the sample count
-FIELD_BATCH = 4096
 
 
 def resolve_stack(stack: StackSpec, omega) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,7 +245,7 @@ def field_profile(stack: StackSpec, psi0, kappa, omega, zs,
     phi_out = np.zeros((layer_of.size, 2), dtype=complex)
     for j in np.unique(layer_of):
         rows = np.flatnonzero(layer_of == j)
-        for part in np.array_split(rows, -(-rows.size // FIELD_BATCH)):
+        for part in np.array_split(rows, -(-rows.size // MAT_EXP_BATCH)):
             psi_out[part] = layer_propagator(A[j], offset[part]) @ left[j]
             phi_out[part] = normal_components(we[j], wm[j], kappa, psi_out[part], stack.c)
     return psi_out, phi_out

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analyticity import CR_TOL, _stencil, _stencil_residual, scalar_sample
+from .analyticity import CR_TOL, _stencil_pass, scalar_sample
 from .dtn import DtnMap
 from .exceptions import ContractError, DomainError, ParameterError, SingularMatrixError
 from .herglotz import _PSD_RTOL, _require_hermitian
@@ -42,9 +42,9 @@ __all__ = [
 ]
 
 #: most s-points :func:`herglotz_along_trajectory` hands the builder per call,
-#: each with its four CR-stencil neighbours: bounds a call's temporaries to
-#: this many times those of one s-point (at 16 layers, 640 layer matrices in
-#: one ``mat_exp`` call) whatever the grid size
+#: each with its four CR-stencil neighbours. It counts s-points, not matrices
+#: (:data:`~dtnstack.linalg.MAT_EXP_BATCH`), because the builder's layer
+#: count is hidden here; at 16 layers a call holds 640 layer matrices
 TRAJECTORY_BATCH = 8
 
 
@@ -246,9 +246,9 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
     """Certify that ``s -> (Lambda(Z(s)) f, f)`` behaves as a Herglotz map.
 
     The grid is evaluated in chunks of at most :data:`TRAJECTORY_BATCH`
-    s-points, one builder call each. The first error that a chunk's
-    trajectory tensors or builder call raises ends the certification; it may
-    come from any s-point of the chunk.
+    s-points, one builder call each. The first error of a chunk's trajectory
+    tensors or builder call ends the certification; a singular or overflowing
+    chunk is re-run point by point, raising its first failing s-point's own error.
 
     Parameters
     ----------
@@ -273,15 +273,12 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
     if not len(s_grid):
         raise ParameterError("s_grid must be nonempty")
 
-    stencils, steps = map(np.array, zip(*(_stencil(complex(s), step) for s in s_grid)))
-    values, residuals = [], []
-    for start in range(0, len(stencils), TRAJECTORY_BATCH):
-        chunk = slice(start, start + TRAJECTORY_BATCH)
-        v = scalar_sample(builder(trajectory_point(spec, stencils[chunk])), f)
-        values.extend(v[:, 0].tolist())
-        residuals.extend(_stencil_residual(v.T, steps[chunk]).tolist())
+    def evaluate(stencils):
+        return (scalar_sample(builder(trajectory_point(spec, stencils)), f),)
+
+    values, residuals = zip(*_stencil_pass(s_grid, step, TRAJECTORY_BATCH, evaluate))
     min_im = min(v.imag for v in values)
     worst_cr = max(residuals)
     passed = bool(min_im > 0.0 and worst_cr < cr_tol)
     return TrajectoryCertificate(tuple(complex(s) for s in s_grid), float(min_im),
-                                 float(worst_cr), passed, tuple(values))
+                                 float(worst_cr), passed, tuple(map(complex, values)))

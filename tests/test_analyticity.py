@@ -23,7 +23,7 @@ from dtnstack import (
 from dtnstack import analyticity
 from dtnstack.analyticity import (
     CR_OFFSETS,
-    RESOLVE_BATCH,
+    MAT_EXP_BATCH,
     _certified_points,
     _stencil_residual,
     default_cr_step,
@@ -159,7 +159,7 @@ def test_herglotz_certify_chunks_match_certify_point(rng):
     s = StackSpec(z_min=-0.7, layers=layers)
     kappa = rand_kappa(rng)
     grid = omega_grid_points(-1.0, 1.0, 4, 0.3, 1.2, 2)
-    assert len(grid) > RESOLVE_BATCH // (5 * 64)
+    assert len(grid) > MAT_EXP_BATCH // (5 * 64)
     cert = herglotz_certify(s, kappa, grid, step=2e-5)
     for rec, w in zip(cert.points, grid):
         single, _ = certify_point(s, kappa, w, step=2e-5)
@@ -178,7 +178,7 @@ def test_chunk_size_changes_no_record_certificate_or_anomaly(monkeypatch, points
         Layer(7.5, lossy("b", [2 + 0.4j] * 3))))
     grid = omega_grid_points(0.2, 1.5, 4, 0.2, 1.0, 3)
     reference = list(_certified_points(s, (0.8, 0.0), grid, None, None, None))
-    monkeypatch.setattr(analyticity, "RESOLVE_BATCH", 5 * len(s.layers) * points_per_chunk)
+    monkeypatch.setattr(analyticity, "MAT_EXP_BATCH", 5 * len(s.layers) * points_per_chunk)
     chunked = list(_certified_points(s, (0.8, 0.0), grid, None, None, None))
     assert 0 < sum(len(cert.anomalies) for _, cert in reference) < len(grid)
     for (rec, cert), (ref_rec, ref_cert) in zip(chunked, reference, strict=True):

@@ -280,6 +280,31 @@ def test_non_number_config_entry_is_named_input_error(tmp_path, capsys, command,
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["trajectory", "dtn"])
+@pytest.mark.parametrize("asymmetry", [1e-7, 1e-3])
+def test_asymmetric_L0_is_named_input_error(tmp_path, capsys, command, asymmetry):
+    # the parser applies the library's rule (1e-12 relative): an asymmetry of
+    # 1e-7 used to pass it, so trajectory stopped with an unnamed "L0 must be
+    # Hermitian" and dtn exited 0
+    L0 = [[0.5, 0.2, 0.0], [0.2, -0.3, 0.1], [0.0, 0.1, 0.4]]
+    L0[0][1] += asymmetry
+    doc = json.loads(VACUUM.read_text())
+    doc["trajectory"] = {"L0": L0}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli([command, "--config", p, "--out", tmp_path]) == 1
+    assert "trajectory.L0: must be symmetric" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_large_L0_symmetric_to_working_precision_is_accepted():
+    # the rule is relative: an asymmetry of 2e-9 on a zero entry is rounding
+    # at entries near 1e6 (an absolute 1e-12 used to reject it)
+    doc = json.loads(VACUUM.read_text())
+    doc["trajectory"] = {"L0": [[1e6, 2e-9, 0], [0, 1e6, 0], [0, 0, 1e6]]}
+    assert parse_run_config(doc, "trajectory").traj_L0[0, 1] == 2e-9
+
+
 # ------------------------------------------------------------- determinism
 
 def test_report_bodies_byte_identical_across_runs(tmp_path):

@@ -230,10 +230,10 @@ def test_field_profile_matches_transfer_both_directions(rng, monkeypatch):
     for z, p in zip(zs, psi):
         expected = transfer(s, kap, om, z_ref, z).matrix @ psi0
         assert np.allclose(p, expected, rtol=1e-10, atol=1e-12)
-    monkeypatch.setattr(transfer_module, "FIELD_BATCH", 4)
+    monkeypatch.setattr(transfer_module, "MAT_EXP_BATCH", 4)
     psi_split, phi_split = field_profile(s, psi0, kap, om, zs, z_ref=z_ref)
-    np.testing.assert_allclose(psi_split, psi, rtol=1e-14)
-    np.testing.assert_allclose(phi_split, phi, rtol=1e-14)
+    assert np.array_equal(psi_split, psi)
+    assert np.array_equal(phi_split, phi)
 
 
 def test_field_profile_normal_components_consistent(rng):

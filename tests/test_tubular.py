@@ -5,6 +5,7 @@ from dtnstack import (
     ContractError,
     DomainError,
     Layer,
+    NumericRangeError,
     SingularMatrixError,
     StackSpec,
     TrajectorySpec,
@@ -291,4 +292,40 @@ def test_herglotz_along_trajectory_raises_from_last_chunk(rng):
     with pytest.raises(SingularMatrixError, match="last chunk"):
         herglotz_along_trajectory(failing, spec, np.array([1.0, 0, 0, 0, 0, 0]),
                                   s_grid)
-    assert calls == [(TRAJECTORY_BATCH, 5), (2, 5)]
+    # the failing chunk is re-run point by point; no point fails on its own,
+    # so the chunk's error stands
+    assert calls == [(TRAJECTORY_BATCH, 5), (2, 5), (1, 5), (1, 5)]
+
+
+def _lossy_pole_trajectory():
+    # L'(s) = -(A + sB)^{-1} from diagonal tensors: eps_11 = mu_22 = -2/(s - 1)
+    # and eps_22 = mu_11 = -10/(s - 3). Near s = 1 the (E1, H2) polarisation
+    # decays so much faster over thickness 2 that T12 is singular to working
+    # precision; at 1 + 1e-3j its layer exponential overflows
+    spec = trajectory_coeffs(np.zeros((3, 3)), [np.diag([1 + 1j, 3 + 1j, 2 + 1j]),
+                                                np.diag([3 + 1j, 1 + 1j, 2 + 1j])])
+
+    def builder(tensors):
+        we, wm = tensors
+        return dtn_from_tensors([(2.0, we, wm)], (0.0, 0.0))[0]
+
+    return spec, builder
+
+
+@pytest.mark.parametrize("s_grid, error", [
+    ([1 + 0.1j, 1 + 1e-3j], SingularMatrixError),
+    ([1 + 1e-3j, 1 + 0.1j], NumericRangeError),
+    ([1 + 0.1j, 1 + 0.05j], SingularMatrixError),
+    ([1 + 0.05j, 1 + 0.1j], SingularMatrixError),
+])
+def test_trajectory_errors_inside_a_chunk_come_in_grid_order(s_grid, error):
+    # one chunk holds both s-points; its error is the first failing s-point's
+    # own, message and condition estimate included, not the chunk's worst
+    spec, builder = _lossy_pole_trajectory()
+    f = np.array([1.0, 0, 0, 0, 0, 0])
+    with pytest.raises(error) as own:
+        herglotz_along_trajectory(builder, spec, f, s_grid[:1])
+    with pytest.raises(error) as chunk:
+        herglotz_along_trajectory(builder, spec, f, s_grid)
+    assert str(chunk.value) == str(own.value)
+    assert getattr(chunk.value, "condition", None) == getattr(own.value, "condition", None)
