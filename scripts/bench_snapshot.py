@@ -17,8 +17,9 @@ neither) and whether the gain rule holds: wins in at least nine tenths of
 the pairs and a median difference beyond the base's interquartile range.
 One ``--trace 1`` run per side (per-layer metrics), the tier-1 time of the
 head and ``perfbench/machine.json`` are host-dependent absolutes, kept for
-their counts. The file is written at the root of the checkout holding this
-script.
+their counts. A fixed numpy kernel (``calibration_s``) is timed at the start
+and at the end of the snapshot, so drift of the host during it shows in the
+file. The file is written at the root of the checkout holding this script.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
 #: every snapshot runs at this seed, so entries of the history compare
@@ -61,6 +64,21 @@ def tier1(root: Path) -> dict:
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": wall, "exit_code": proc.returncode,
             "summary": lines[-1] if lines else ""}
+
+
+def calibration_s(repeats: int = 5) -> float:
+    """Median seconds, over ``repeats``, of 1,000 ``np.linalg.solve`` calls on
+    one seeded (64, 4, 4) complex batch: the package's kind of arithmetic,
+    without the package."""
+    rng = np.random.default_rng(0)
+    A, B = rng.standard_normal((2, 64, 4, 4)) + 1j * rng.standard_normal((2, 64, 4, 4))
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(1000):
+            np.linalg.solve(A, B)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def _quartiles(values: list) -> dict:
@@ -131,6 +149,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     root, base = args.root.resolve(), args.base.resolve()
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    calibration_start = calibration_s()
     snapshot = {
         "label": args.label,
         "commit": _commit(root),
@@ -141,6 +160,7 @@ def main(argv=None) -> int:
         "machine": json.loads((root / "perfbench" / "machine.json").read_text(encoding="utf-8")),
         "workloads": paired(base, root, bench, args.seed),
     }
+    snapshot["calibration_s"] = {"start": calibration_start, "end": calibration_s()}
     snapshot["tier1"] = tier1(root)
     out = HERE / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -31,8 +31,9 @@ __all__ = [
 #: 1-norm condition number beyond which solves are refused
 SINGULAR_CONDITION_LIMIT = 1e12
 
-#: most matrices a batched pass (a grid chunk, a layer's field samples) hands
-#: one :func:`mat_exp` call: bounds its temporaries whatever the input size
+#: most matrices a batched pass (a grid chunk, a field profile's anchors) hands
+#: one :func:`mat_exp` call, and most samples a field profile evaluates at once:
+#: bounds their temporaries whatever the input size
 MAT_EXP_BATCH = 1024
 
 

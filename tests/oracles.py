@@ -2,9 +2,10 @@
 
 Nothing in this file may call the package's propagation or matrix-exponential
 routines: the transfer oracle integrates the tangential ODE with a hand-rolled
-fixed-step RK4 plus step doubling, and the rearrangement oracle solves the
-defining linear system directly. Keeping these routes separate from the
-implementation is the whole point.
+fixed-step RK4 plus step doubling, the field oracle exponentiates in 50-digit
+``mpmath``, and the rearrangement oracle solves the defining linear system
+directly. Keeping these routes separate from the implementation is the whole
+point.
 """
 import numpy as np
 
@@ -61,6 +62,21 @@ def ode_transfer_oracle(segments, rtol=1e-10, n0=16, max_doublings=14):
             return cur
         prev = cur
     return prev
+
+
+def expm_action_oracle(M, v, ts, dps=50):
+    """``exp(t M) v`` for each ``t`` in ``ts``, by ``mpmath.expm`` at ``dps``
+    digits on the exact double inputs; rows of shape (len(ts), n)."""
+    import mpmath  # optional test dependency: callers importorskip it
+
+    with mpmath.workdps(dps):
+        Mm = mpmath.matrix(np.asarray(M, dtype=complex).tolist())
+        vm = mpmath.matrix(np.asarray(v, dtype=complex).tolist())
+        rows = []
+        for t in ts:
+            y = mpmath.expm(Mm * mpmath.mpf(float(t))) * vm
+            rows.append([complex(y[i]) for i in range(len(vm))])
+    return np.array(rows)
 
 
 def gamma_oracle(T, u1, u0):

@@ -203,6 +203,26 @@ def test_overflowing_flux_form_is_named_anomaly(tmp_path, capsys, command):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["transfer", "energy", "certify"])
+@pytest.mark.parametrize("scale, reason", [
+    (1e-12, "mat_exp overflowed"),
+    (1e-17, "normal response block is singular"),
+    (1e-30, "normal response block is singular"),
+    (1e-200, "normal response block is singular"),
+])
+def test_tiny_normal_block_is_named_singular(tmp_path, capsys, command, scale, reason):
+    # omega*eps_33 at or below eps times the tensor's largest entry is
+    # singular; above it the huge exponent overflows as before
+    doc = json.loads(VACUUM.read_text())
+    doc["kappa"] = [0.5, 0.0]
+    doc["stack"]["layers"][0]["material"]["eps"]["value"][2][2] = [scale, scale]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli([command, "--config", p, "--out", tmp_path]) == 2
+    assert f"numerical anomaly: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def _set_psi0(doc, v):
     doc["psi0"] = [[1, 0], [0, v], [0, 0], [0, 0]]
 

@@ -15,6 +15,7 @@ from dtnstack import (
     build_A,
     field_profile,
     layer_propagator,
+    locate,
     make_drude,
     normal_components,
     transfer,
@@ -30,7 +31,7 @@ from generators import (
     rand_stack,
     vacuum_slab,
 )
-from oracles import J_ORACLE, ode_transfer_oracle
+from oracles import J_ORACLE, expm_action_oracle, ode_transfer_oracle
 
 
 def _per_model(stack, z):
@@ -110,9 +111,18 @@ def test_normal_components_vacuum_oblique():
 
 
 def test_build_a_requires_invertible_normal_block():
+    I3 = np.eye(3, dtype=complex)
     flat = np.diag([1.0, 1.0, 0.0]).astype(complex)
     with pytest.raises(SingularMatrixError):
-        build_A(flat, np.eye(3, dtype=complex), (0.0, 0.0))
+        build_A(flat, I3, (0.0, 0.0))
+    # singular relative to its own tensor, in mu and in one batch entry; a
+    # uniformly small tensor is regular
+    small_mu33 = np.diag([1.0, 1.0, 1e-17]).astype(complex)
+    with pytest.raises(SingularMatrixError, match="normal response block"):
+        build_A(I3, small_mu33, (0.0, 0.0))
+    with pytest.raises(SingularMatrixError, match="normal response block"):
+        build_A(np.stack([I3, I3, small_mu33]), np.stack([I3] * 3), (0.0, 0.0))
+    assert np.all(np.isfinite(build_A(1e-200 * I3, I3, (0.0, 0.0))))
 
 
 def test_propagator_rotation_closed_form():
@@ -242,11 +252,77 @@ def test_field_profile_normal_components_consistent(rng):
     psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     z = s.z_min + 0.3 * (s.z_max - s.z_min)
     psi, phi = field_profile(s, psi0, kap, om, [z])
-    from dtnstack import locate
     idx, _ = locate(s, z)
     d, we, wm = resolve_layers(s, om)[idx]
     assert np.allclose(phi[0], normal_components(we, wm, kap, psi[0], c=s.c),
                        atol=1e-12)
+
+
+def _lossy_layer(d):
+    # ROADMAP item 5's lossy anisotropic layer
+    eps = ConstantModel(value=np.diag([2 + 0.5j, 3 + 0.3j, 2.5 + 0.4j]))
+    mu = ConstantModel(value=np.eye(3, dtype=complex))
+    return StackSpec(z_min=0.0, layers=(Layer(d, MaterialSpec("lossy", eps, mu)),))
+
+
+@pytest.mark.parametrize("d, ref", [(0.5, 0.0), (5.0, 0.0), (20.0, 0.0), (5.0, 0.5)])
+def test_field_profile_matches_mpmath_oracle(d, ref):
+    # every sample within 1e-13 (max-norm, relative) of the 50-digit action
+    # exp((z - z_ref) i J A) psi0, z_ref at the bottom face or mid-layer
+    pytest.importorskip("mpmath")
+    om, kap = 1 + 0.3j, (0.8, 0.0)
+    s = _lossy_layer(d)
+    psi0 = np.array([1.0, 0.5 - 0.2j, -0.3j, 0.7])
+    zs, z_ref = np.linspace(0.0, d, 23), ref * d
+    psi, _ = field_profile(s, psi0, kap, om, zs, z_ref=z_ref)
+    ((_, we, wm),) = resolve_layers(s, om)
+    want = expm_action_oracle(1j * J_ORACLE @ build_A(we, wm, kap, s.c), psi0, zs - z_ref)
+    err = np.abs(psi - want).max(axis=1) / np.abs(want).max(axis=1)
+    assert err.max() <= 1e-13
+
+
+def test_field_profile_anchor_cases_match_sorted_samples_bitwise(rng, monkeypatch):
+    # samples unsorted, duplicated, on every face and exactly halfway between
+    # two anchors give bitwise the fields of the same samples sorted, however
+    # the batches are split
+    transfer_module = importlib.import_module("dtnstack.transfer")
+    layers = tuple(Layer(d, rand_constant_material(rng, f"m{k}"))
+                   for k, d in enumerate((0.5, 0.75, 1.0)))
+    s = StackSpec(z_min=0.0, layers=layers)
+    kap, om = rand_kappa(rng), rand_omega(rng)
+    psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    z_ref = 0.8
+    t, we, wm = resolve_stack(s, om)
+    M = 1j * (J @ build_A(we, wm, kap, s.c))
+    per_length = np.abs(M).sum(axis=-2).max(axis=-1) / (2.0 * transfer_module._TAYLOR_R)
+    b = s.boundaries
+    halfway = []
+    for j in range(len(layers)):
+        for k in range(int(t[j] * per_length[j])):
+            z = b[j] + (k + 0.5) / per_length[j]
+            layer, offset = locate(s, z)
+            if layer == j and offset * per_length[j] == k + 0.5:  # an exact tie
+                halfway.append(z)
+    assert len(halfway) >= 3
+    zs = np.concatenate([b, halfway, rng.uniform(b[0], b[-1], 30)])
+    zs = np.sort(np.concatenate([zs, zs[::3]]))
+    psi, phi = field_profile(s, psi0, kap, om, zs, z_ref=z_ref)
+    perm = rng.permutation(zs.size)
+    for batch in (transfer_module.MAT_EXP_BATCH, 4, 1):
+        monkeypatch.setattr(transfer_module, "MAT_EXP_BATCH", batch)
+        psi_u, phi_u = field_profile(s, psi0, kap, om, zs[perm], z_ref=z_ref)
+        assert np.array_equal(psi_u, psi[perm])
+        assert np.array_equal(phi_u, phi[perm])
+
+
+def test_field_profile_zero_system_matrix_keeps_the_field():
+    # eps = mu = diag(0, 0, 1) at kappa = 0 gives A = 0: ||i J A||_1 = 0 sets
+    # no anchor spacing, and the field stays psi0 with no warning
+    flat = ConstantModel(value=np.diag([0.0, 0.0, 1.0]).astype(complex))
+    s = StackSpec(z_min=0.0, layers=(Layer(1.0, MaterialSpec("flat", flat, flat)),))
+    psi0 = np.array([1.0, -2.0j, 0.5, 3.0])
+    psi, _ = field_profile(s, psi0, (0.0, 0.0), 1 + 1j, [0.0, 0.3, 1.0], z_ref=0.6)
+    assert np.array_equal(psi, np.tile(psi0, (3, 1)))
 
 
 def test_oracle_j_matches_package_j():
