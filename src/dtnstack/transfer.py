@@ -83,13 +83,20 @@ def _v_blocks(omega_eps: np.ndarray, omega_mu: np.ndarray, kappa, c: float):
     Vop += np.array([[0.0, 0.0, -k2, k1], [k2, -k1, 0.0, 0.0]])
 
     voo = np.stack([we[..., 2, 2], wm[..., 2, 2]], axis=-1)  # diagonal of the normal block
-    # singular when an entry is at or below eps times the largest entry of its
-    # own tensor; sizes are max(|Re|, |Im|), which cannot overflow
-    size = np.abs(np.stack([we, wm], axis=-3).view(float))  # (..., 2, 3, 6)
-    if np.any(size[..., 2, 4:].max(axis=-1) <= np.finfo(float).eps * size.max(axis=(-2, -1))):
+    if _normal_entry_vanishes(we) or _normal_entry_vanishes(wm):
         raise SingularMatrixError(
             "normal response block is singular (omega*eps_33 or omega*mu_33 vanishes)")
     return Vpp, Vpo, Vop, voo
+
+
+def _normal_entry_vanishes(V: np.ndarray) -> bool:
+    """Whether some ``V[..., 2, 2]`` is at or below eps times the largest entry
+    of its own 3×3 tensor (``V`` C-contiguous). An entry's size is
+    max(|Re|, |Im|) and eps is a power of two, so nothing overflows or
+    rounds; one elementwise comparison covers the whole batch."""
+    size = np.abs(V.view(float)).reshape(V.shape[:-2] + (18,))
+    normal = np.maximum(size[..., 16], size[..., 17])
+    return bool(np.any(np.finfo(float).eps * size >= normal[..., np.newaxis]))
 
 
 def build_A(omega_eps, omega_mu, kappa, c: float = 1.0) -> np.ndarray:
