@@ -116,13 +116,15 @@ def test_build_a_requires_invertible_normal_block():
     with pytest.raises(SingularMatrixError):
         build_A(flat, I3, (0.0, 0.0))
     # singular relative to its own tensor, in mu and in one batch entry; a
-    # uniformly small tensor is regular
+    # uniformly small tensor is regular, alone or beside a large one
     small_mu33 = np.diag([1.0, 1.0, 1e-17]).astype(complex)
     with pytest.raises(SingularMatrixError, match="normal response block"):
         build_A(I3, small_mu33, (0.0, 0.0))
     with pytest.raises(SingularMatrixError, match="normal response block"):
         build_A(np.stack([I3, I3, small_mu33]), np.stack([I3] * 3), (0.0, 0.0))
     assert np.all(np.isfinite(build_A(1e-200 * I3, I3, (0.0, 0.0))))
+    mixed = build_A(np.stack([1e-200 * I3, I3]), np.stack([I3] * 2), (0.0, 0.0))
+    assert np.all(np.isfinite(mixed))
 
 
 def test_propagator_rotation_closed_form():
