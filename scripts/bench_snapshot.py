@@ -66,14 +66,14 @@ def tier1(root: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
-def calibration_s(repeats: int = 5) -> float:
-    """Median seconds, over ``repeats``, of 1,000 ``np.linalg.solve`` calls on
+def calibration_s() -> float:
+    """Median seconds, over 5 timings, of 1,000 ``np.linalg.solve`` calls on
     one seeded (64, 4, 4) complex batch: the package's kind of arithmetic,
     without the package."""
     rng = np.random.default_rng(0)
     A, B = rng.standard_normal((2, 64, 4, 4)) + 1j * rng.standard_normal((2, 64, 4, 4))
     times = []
-    for _ in range(repeats):
+    for _ in range(5):
         t0 = time.perf_counter()
         for _ in range(1000):
             np.linalg.solve(A, B)
