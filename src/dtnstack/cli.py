@@ -79,7 +79,9 @@ __all__ = ["main", "RunConfig"]
 #: commands whose frequencies must lie in the open upper half-plane
 CERTIFICATION_COMMANDS = {"dtn", "certify", "energy", "sweep", "trajectory"}
 
-#: most ``--quad-points`` accepted: 1e6 points already take ~600 MB
+#: most ``--quad-points`` accepted: ``energy`` keeps a few arrays of one
+#: float per point, and 1e6 points peak at about 150 MB resident
+#: (``getrusage`` of one process on ``configs/vacuum_certify.json``)
 MAX_QUAD_POINTS = 1_000_000
 
 #: most frequency-grid points accepted (``re_steps × im_steps``)

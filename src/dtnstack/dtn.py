@@ -32,7 +32,18 @@ from .linalg import (
     split_blocks,
 )
 from .stack import StackSpec
-from .transfer import J, RHO, TransferMatrix, field_profile, propagate, resolve_stack
+from .transfer import (
+    _TAYLOR_K,
+    J,
+    RHO,
+    TransferMatrix,
+    _anchor_stage,
+    _chunk_rows,
+    _normal_map,
+    _taylor_values,
+    propagate,
+    resolve_stack,
+)
 
 __all__ = [
     "P_T",
@@ -432,6 +443,21 @@ def _layer_point_counts(segments: list[float], n_points: int) -> list[int]:
     return counts
 
 
+def _absorption_forms(omega_eps, omega_mu, kappa, c: float) -> np.ndarray:
+    """Hermitian ``Q`` per layer, shape (L, 4, 4), with absorbed density
+    ``(E, Im[omega*eps] E) + (H, Im[omega*mu] H) = psi* Q psi``: with the
+    normal components ``phi = R psi``, ``E = P_eps psi`` and ``H = P_mu psi``
+    for ``P_eps = [e1; e2; R_0]`` and ``P_mu = [e3; e4; R_1]``, and
+    ``Q = P_eps* Im[omega*eps] P_eps + P_mu* Im[omega*mu] P_mu``."""
+    R = _normal_map(omega_eps, omega_mu, kappa, c)
+    P = np.zeros(R.shape[:-2] + (2, 3, 4), dtype=complex)
+    P[..., 0, [0, 1], [0, 1]] = 1.0
+    P[..., 1, [0, 1], [2, 3]] = 1.0
+    P[..., 2, :] = R
+    W = np.stack([hermitian_parts(omega_eps).imag, hermitian_parts(omega_mu).imag], axis=-3)
+    return (np.swapaxes(P.conj(), -1, -2) @ W @ P).sum(axis=-3)
+
+
 def energy_balance(stack: StackSpec, psi0, kappa, omega,
                    z0: float | None = None, z1: float | None = None,
                    n_points: int = 2000) -> EnergyReport:
@@ -444,6 +470,18 @@ def energy_balance(stack: StackSpec, psi0, kappa, omega,
     ``(1/8π)[(H, Im[omega*mu] H) + (E, Im[omega*eps] E)]`` with the full
     3-component fields. For passive media at ``Im omega > 0`` both sides are
     positive and equal, so the report also holds the layers' passivity.
+
+    The absorbed side never forms a field sample. In layer ``j`` the density
+    is ``psi* Q_j psi`` for one Hermitian 4×4 ``Q_j`` (the normal components
+    are a fixed linear map of ``psi`` there), and each sample is a Taylor
+    polynomial ``psi_n = sum_p c_p x_n^p`` from its anchor (see
+    :func:`~dtnstack.transfer.field_profile`), so the samples of anchor
+    ``a`` sum to ``tr(Q_j G_a)`` with the Gram matrix
+    ``G_a = sum_n psi_n psi_n* = C^T H_a conj(C)``, ``H_a[p, q]`` the power
+    sum of ``x_n^(p+q)`` over the anchor's samples. The absorbed side is
+    ``(1/8π) sum_a h_j Re tr(Q_j G_a)``, ``h_j`` the cell width in layer
+    ``j``. The two endpoints are Taylor polynomials evaluated as
+    :func:`~dtnstack.transfer.field_profile` evaluates them.
 
     Parameters
     ----------
@@ -466,32 +504,43 @@ def energy_balance(stack: StackSpec, psi0, kappa, omega,
     w, k = _certified_inputs(kappa, complex(omega), z0, z1)
     if n_points < 1:
         raise DomainError(f"n_points must be >= 1, got {n_points}")
-
-    psi0 = np.asarray(psi0, dtype=complex).reshape(4)
-    _, we, wm = resolve_stack(stack, w)
     b = stack.boundaries
 
     # overlap segments of [z0, z1] with each layer, split into equal cells
     lo, hi = np.maximum(z0, b[:-1]), np.minimum(z1, b[1:])
     seg = np.flatnonzero(hi > lo)
     counts = np.array(_layer_point_counts(list(hi[seg] - lo[seg]), int(n_points)))
-    zlayer = np.repeat(seg, counts)
-    n = zlayer.size
-    h = np.repeat((hi[seg] - lo[seg]) / counts, counts)
+    n = int(counts.sum())
+    width = np.zeros(b.size - 1)
+    width[seg] = (hi[seg] - lo[seg]) / counts
     cell = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-    zs = np.repeat(lo[seg], counts) + (cell + 0.5) * h
+    zs = np.repeat(lo[seg], counts) + (cell + 0.5) * np.repeat(width[seg], counts)
 
     # the two endpoints ride along for the boundary side
-    psi, phi = field_profile(stack, psi0, k, w, np.append(zs, [z0, z1]), z_ref=z0)
-    E = np.concatenate([psi[:n, :2], phi[:n, :1]], axis=1)
-    H = np.concatenate([psi[:n, 2:], phi[:n, 1:]], axis=1)
-    im_we, im_wm = hermitian_parts(we).imag[zlayer], hermitian_parts(wm).imag[zlayer]
-    dens = (np.einsum("ni,nij,nj->n", H.conj(), im_wm, H)
-            + np.einsum("ni,nij,nj->n", E.conj(), im_we, E)).real
-    absorbed = float(h @ dens) / (8.0 * np.pi)
+    st = _anchor_stage(stack, psi0, k, w, np.append(zs, [z0, z1]), z0)
+    Q = _absorption_forms(st.omega_eps, st.omega_mu, k, stack.c)
+    # power sums of x^s, s = 0 .. 2K, over each anchor's quadrature samples
+    n_anchors, K = st.anchor_layer.size, _TAYLOR_K
+    anchor_of, x, xs = st.anchor_of[:n], st.x[:n], np.ones(n)
+    sums = np.empty((n_anchors, 2 * K + 1))
+    for s in range(2 * K + 1):
+        sums[:, s] = np.bincount(anchor_of, weights=xs, minlength=n_anchors)
+        xs = xs * x
+    hankel = np.add.outer(np.arange(K + 1), np.arange(K + 1))
 
-    flux = [float(np.vdot(p, J @ p).real) for p in psi[n:]]
+    absorbed, ends = 0.0, np.empty((2, 4), dtype=complex)
+    for chunk, coef in st.coefficients:
+        rows = n + _chunk_rows(st.anchor_of[n:], chunk)
+        ends[rows - n] = _taylor_values(coef, st.anchor_of[rows] - chunk[0], st.x[rows])
+        C = coef.transpose(1, 0, 2)  # (anchor, p, 4)
+        G = np.swapaxes(C, -1, -2) @ (sums[chunk][:, hankel] @ C.conj())
+        j = st.anchor_layer[chunk]
+        absorbed += float(width[j] @ np.einsum("aki,aik->a", Q[j], G).real)
+    absorbed /= 8.0 * np.pi
+
+    flux = [float(np.vdot(p, J @ p).real) for p in ends]
     boundary = (stack.c / (16.0 * np.pi)) * (flux[0] - flux[1])
 
     gap = abs(boundary - absorbed) / max(abs(boundary), abs(absorbed), _TINY)
-    return EnergyReport(boundary, absorbed, float(gap), n, passivity_check(we, wm))
+    return EnergyReport(boundary, absorbed, float(gap), n,
+                        passivity_check(st.omega_eps, st.omega_mu))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,9 @@ __all__ = [
 
 PACKAGE_VERSION = "0.1.0"
 
+_SEQUENCES = (list, tuple)
+_FLOAT_ONLY = {float}
+
 
 def _fmt_float(x: float) -> str:
     x = float(x)
@@ -37,14 +41,34 @@ def _fmt_float(x: float) -> str:
     return '"inf"' if x > 0 else '"-inf"'
 
 
+@lru_cache(maxsize=256)
+def _float_list_template(length: int, level: int) -> str:
+    """``%``-template of a list of ``length`` finite floats at ``level``: the
+    text :func:`_write` gives it element by element (``%.17g`` is
+    ``format(x, ".17g")``)."""
+    return ("[\n" + ",\n".join(["  " * (level + 1) + "%.17g"] * length)
+            + "\n" + "  " * level + "]")
+
+
+@lru_cache(maxsize=1024)
+def _key_text(key: str, level: int) -> str:
+    """Indented text of a dict key at ``level``."""
+    return f"{'  ' * level}{json.dumps(key)}: "
+
+
 def _write(obj, level: int, out: list):
     """Append the JSON text of ``obj`` to ``out``: numpy arrays as nested
     lists, tuples as lists, complex values as ``[re, im]`` and paths as
-    strings."""
-    pad = "  " * level
-    pad_in = "  " * (level + 1)
+    strings. A list of finite Python floats only (all of a numpy float
+    array's rows) takes one cached template."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
+    if (type(obj) in _SEQUENCES and obj and type(obj[0]) is float
+            and set(map(type, obj)) == _FLOAT_ONLY
+            and math.isfinite(sum(obj))):  # a nan or an inf makes the sum non-finite
+        out.append(_float_list_template(len(obj), level) % tuple(obj))
+        return
+    pad = "  " * level
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -52,7 +76,7 @@ def _write(obj, level: int, out: list):
         out.append("{\n")
         keys = sorted(obj, key=str)
         for i, k in enumerate(keys):
-            out.append(f"{pad_in}{json.dumps(str(k))}: ")
+            out.append(_key_text(str(k), level + 1))
             _write(obj[k], level + 1, out)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
@@ -61,6 +85,7 @@ def _write(obj, level: int, out: list):
             out.append("[]")
             return
         out.append("[\n")
+        pad_in = pad + "  "
         for i, v in enumerate(obj):
             out.append(pad_in)
             _write(v, level + 1, out)

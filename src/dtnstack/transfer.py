@@ -10,7 +10,9 @@ of layer propagators (later layers multiply on the left).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,6 +155,13 @@ def normal_components(omega_eps, omega_mu, kappa, psi, c: float = 1.0) -> np.nda
     return -sum(psi[..., j, np.newaxis] * Vop[:, j] for j in range(4)) / voo
 
 
+def _normal_map(omega_eps, omega_mu, kappa, c: float) -> np.ndarray:
+    """The matrices ``R = -Voo^{-1} Vop``, shape (..., 2, 4), with ``phi = R psi``
+    (see :func:`normal_components`)."""
+    _, _, Vop, voo = _v_blocks(omega_eps, omega_mu, kappa, float(c))
+    return -Vop / voo[..., np.newaxis]
+
+
 def layer_propagator(A, dz) -> np.ndarray:
     """Propagators ``exp(i J A dz)`` across homogeneous slabs of width ``dz``,
     in one :func:`mat_exp` call; ``dz`` broadcasts against A's batch axes."""
@@ -247,18 +256,54 @@ def field_profile(stack: StackSpec, psi0, kappa, omega, zs,
 
     Notes
     -----
-    Whole-layer exponentials give the field at every layer's left face.
-    Inside a layer, with ``M = i J A``, the anchors are the multiples of
-    ``2R / ||M||_1`` nearest to some sample (never more anchors than
-    samples), and their fields come from :func:`mat_exp` calls of at most
-    ``MAT_EXP_BATCH`` matrices. Each sample is the degree-``K`` Taylor
-    polynomial of ``exp(r M)`` applied to its anchor's field, ``r`` the
-    distance to the anchor: ``|r| ||M||_1 <= R = 1/2`` and ``K = 16``
-    bound the truncation error by ``R^(K+1) / (K+1)! ~ 2e-20`` relative to
-    the anchor's field. Samples are evaluated in parts of at most
-    ``MAT_EXP_BATCH``, elementwise, so a sample's value does not depend on
-    the order or the company it comes in.
+    Whole-layer exponentials give the field at every layer's left face,
+    except in the layer holding ``z_ref``: its two faces are single steps
+    from ``z_ref``. Inside a layer, with ``M = i J A``, the anchors are the
+    multiples of ``2R / ||M||_1`` nearest to some sample (never more anchors
+    than samples), and their fields come from :func:`mat_exp` calls of at
+    most ``MAT_EXP_BATCH`` matrices, each a step from the layer's left face
+    or, in the layer holding ``z_ref``, from ``z_ref`` itself (no round trip
+    through the face, where growing and decaying modes would cancel). Each
+    sample is the degree-``K`` Taylor polynomial of ``exp(r M)`` applied to
+    its anchor's field, ``r`` the distance to the anchor: ``|r| ||M||_1 <=
+    R = 1/2`` and ``K = 16`` bound the truncation error by ``R^(K+1) /
+    (K+1)! ~ 2e-20`` relative to the anchor's field. Samples are evaluated
+    in parts of at most ``MAT_EXP_BATCH``, elementwise, so a sample's value
+    does not depend on the order or the company it comes in.
     """
+    st = _anchor_stage(stack, psi0, kappa, omega, zs, z_ref)
+    psi_out = np.empty((st.x.size, 4), dtype=complex)
+    for chunk, coef in st.coefficients:
+        for part in _parts(_chunk_rows(st.anchor_of, chunk)):
+            psi_out[part] = _taylor_values(coef, st.anchor_of[part] - chunk[0], st.x[part])
+
+    phi_out = np.empty((st.x.size, 2), dtype=complex)
+    for j in np.unique(st.layer_of):
+        for part in _parts(np.flatnonzero(st.layer_of == j)):
+            phi_out[part] = normal_components(st.omega_eps[j], st.omega_mu[j], kappa,
+                                              psi_out[part], stack.c)
+    return psi_out, phi_out
+
+
+class _Anchors(NamedTuple):
+    """The anchor stage of a field profile: the resolved tensors, each
+    sample's layer, anchor and unit offset ``x`` from its anchor, each
+    anchor's layer, and a generator of ``(anchors, coef)`` over consecutive
+    chunks of at most ``MAT_EXP_BATCH`` anchors, ``coef[p, k]`` the degree-``p``
+    Taylor coefficient of the chunk's ``k``-th anchor, shape (K + 1, chunk, 4)."""
+
+    omega_eps: np.ndarray
+    omega_mu: np.ndarray
+    layer_of: np.ndarray
+    anchor_of: np.ndarray
+    x: np.ndarray
+    anchor_layer: np.ndarray
+    coefficients: Iterator[tuple[np.ndarray, np.ndarray]]
+
+
+def _anchor_stage(stack: StackSpec, psi0, kappa, omega, zs, z_ref: float | None) -> _Anchors:
+    """Layer faces, anchors, sample offsets and Taylor coefficients of
+    :func:`field_profile` (see its Notes)."""
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
     z_ref = stack.z_min if z_ref is None else float(z_ref)
     j_ref, d_ref = locate(stack, z_ref)
@@ -267,14 +312,18 @@ def field_profile(stack: StackSpec, psi0, kappa, omega, zs,
     t, we, wm = resolve_stack(stack, complex(omega))
     A = build_A(we, wm, kappa, stack.c)
     # field at every layer's left face: whole-layer steps away from the layer
-    # holding z_ref (backwards below it), plus the step from z_ref to its face
+    # holding z_ref (backwards below it); that layer's own faces are steps
+    # from z_ref itself
     n = t.size
+    widths = np.where(np.arange(n) < j_ref, -t, t)
+    widths[j_ref] = t[j_ref] - d_ref
     steps = layer_propagator(np.concatenate([A, A[j_ref:j_ref + 1]]),
-                             np.concatenate([np.where(np.arange(n) < j_ref, -t, t),
-                                             [-d_ref]]))
+                             np.concatenate([widths, [-d_ref]]))
     left = np.empty((n, 4), dtype=complex)
     left[j_ref] = steps[n] @ psi0
-    for j in range(j_ref, n - 1):
+    if j_ref + 1 < n:
+        left[j_ref + 1] = steps[j_ref] @ psi0
+    for j in range(j_ref + 1, n - 1):
         left[j + 1] = steps[j] @ left[j]
     for j in range(j_ref - 1, -1, -1):
         left[j] = steps[j] @ left[j + 1]
@@ -293,29 +342,39 @@ def field_profile(stack: StackSpec, psi0, kappa, omega, zs,
     a_offset = anchors.imag / per_length[a_layer]
     x = (offset - a_offset[anchor_of]) * per_length[layer_of]
 
-    psi_out = np.empty((layer_of.size, 4), dtype=complex)
-    for chunk in _parts(np.arange(anchors.size)):
-        # coef[p] = (M delta)^p psi(a) / p! for each anchor a of the chunk
-        j = a_layer[chunk]
-        coef = np.empty((_TAYLOR_K + 1, chunk.size, 4), dtype=complex)
-        coef[0] = (layer_propagator(A[j], a_offset[chunk]) @ left[j, :, np.newaxis])[..., 0]
-        Mj = Md[j]
-        for p in range(1, _TAYLOR_K + 1):
-            coef[p] = (Mj @ coef[p - 1, :, :, np.newaxis])[..., 0] / p
-        rows = np.flatnonzero((anchor_of >= chunk[0]) & (anchor_of <= chunk[-1]))
-        for part in _parts(rows):  # Horner in x, one sample per row
-            k, xp = anchor_of[part] - chunk[0], x[part, np.newaxis]
-            y = coef[_TAYLOR_K].take(k, axis=0)
-            for p in range(_TAYLOR_K - 1, -1, -1):
-                y *= xp
-                y += coef[p].take(k, axis=0)
-            psi_out[part] = y
+    def coefficients():
+        for chunk in _parts(np.arange(anchors.size)):
+            # coef[p] = (M delta)^p psi(a) / p! for each anchor a of the chunk;
+            # psi(a) steps from z_ref in its layer, from the left face elsewhere
+            j = a_layer[chunk]
+            at_ref = j == j_ref
+            start = left[j]
+            start[at_ref] = psi0
+            dz = np.where(at_ref, a_offset[chunk] - d_ref, a_offset[chunk])
+            coef = np.empty((_TAYLOR_K + 1, chunk.size, 4), dtype=complex)
+            coef[0] = (layer_propagator(A[j], dz) @ start[:, :, np.newaxis])[..., 0]
+            Mj = Md[j]
+            for p in range(1, _TAYLOR_K + 1):
+                coef[p] = (Mj @ coef[p - 1, :, :, np.newaxis])[..., 0] / p
+            yield chunk, coef
 
-    phi_out = np.empty((layer_of.size, 2), dtype=complex)
-    for j in np.unique(layer_of):
-        for part in _parts(np.flatnonzero(layer_of == j)):
-            phi_out[part] = normal_components(we[j], wm[j], kappa, psi_out[part], stack.c)
-    return psi_out, phi_out
+    return _Anchors(we, wm, layer_of, anchor_of, x, a_layer, coefficients())
+
+
+def _taylor_values(coef: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_p coef[p, k] x^p`` by Horner in ``x``, one sample per row:
+    elementwise, so a sample's value does not depend on its company."""
+    xp = x[:, np.newaxis]
+    y = coef[_TAYLOR_K].take(k, axis=0)
+    for p in range(_TAYLOR_K - 1, -1, -1):
+        y *= xp
+        y += coef[p].take(k, axis=0)
+    return y
+
+
+def _chunk_rows(anchor_of: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """The samples whose anchor lies in the chunk of consecutive anchors."""
+    return np.flatnonzero((anchor_of >= chunk[0]) & (anchor_of <= chunk[-1]))
 
 
 def _parts(rows: np.ndarray) -> list[np.ndarray]:

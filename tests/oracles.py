@@ -79,6 +79,63 @@ def expm_action_oracle(M, v, ts, dps=50):
     return np.array(rows)
 
 
+def energy_midpoint_oracle(omega_eps, omega_mu, kappa, psi0, d, n, c=1.0, dps=50):
+    """Both sides of the energy identity on one homogeneous layer ``[0, d]``
+    with tangential data ``psi0`` at 0, at ``dps`` digits: the boundary side
+    ``(c/16π)[(J psi, psi)(0) - (J psi, psi)(d)]`` and the ``n``-point
+    composite-midpoint sum of ``(1/8π)[(E, Im[omega*eps] E) + (H, Im[omega*mu] H)]``.
+
+    The system matrix is eliminated here from the tensors, the field steps
+    by 50-digit ``mpmath.expm`` of ``i J A`` (half a cell, then whole
+    cells), and the normal components come from the third rows of the
+    constitutive relations, ``E3 = -(we31 E1 + we32 E2 - k2 H1 + k1 H2) / we33``
+    and ``H3 = -(k2 E1 - k1 E2 + wm31 H1 + wm32 H2) / wm33`` (``we = omega*eps / c``).
+    """
+    import mpmath  # optional test dependency: callers importorskip it
+
+    with mpmath.workdps(dps):
+        mc = lambda a: mpmath.matrix(np.asarray(a, dtype=complex).tolist())
+        We, Wm = mc(omega_eps) / c, mc(omega_mu) / c
+        k1, k2 = (mpmath.mpf(float(k)) for k in kappa)
+        # psi' = i J A psi with A = Vpp - Vpo Voo^-1 Vop (tangential, normal split)
+        Vpp = mpmath.zeros(4, 4)
+        Vpo, Vop = mpmath.zeros(4, 2), mpmath.zeros(2, 4)
+        for i in range(2):
+            for j in range(2):
+                Vpp[i, j], Vpp[2 + i, 2 + j] = We[i, j], Wm[i, j]
+            Vpo[i, 0], Vpo[2 + i, 1] = We[i, 2], Wm[i, 2]
+            Vop[0, i], Vop[1, 2 + i] = We[2, i], Wm[2, i]
+        Vpo[0, 1] += k2
+        Vpo[1, 1] -= k1
+        Vpo[2, 0] -= k2
+        Vpo[3, 0] += k1
+        Vop[0, 2] -= k2
+        Vop[0, 3] += k1
+        Vop[1, 0] += k2
+        Vop[1, 1] -= k1
+        Voo_inv = mpmath.diag([1 / We[2, 2], 1 / Wm[2, 2]])
+        A = Vpp - Vpo * Voo_inv * Vop
+        M = mpmath.mpc(0, 1) * mc(J_ORACLE) * A
+        herm_im = lambda W: (W - W.transpose_conj()) / mpmath.mpc(0, 2)
+        Ie, Im_ = herm_im(mc(omega_eps)), herm_im(mc(omega_mu))
+        h = mpmath.mpf(d) / n
+        step = mpmath.expm(M * h)
+        psi = mpmath.expm(M * (h / 2)) * mc(psi0)
+        absorbed = mpmath.mpf(0)
+        for _ in range(n):
+            phi = -(Voo_inv * Vop * psi)
+            E = mpmath.matrix([psi[0], psi[1], phi[0]])
+            H = mpmath.matrix([psi[2], psi[3], phi[1]])
+            absorbed += mpmath.re((E.transpose_conj() * Ie * E)[0]
+                                  + (H.transpose_conj() * Im_ * H)[0])
+            psi = step * psi
+        absorbed *= h / (8 * mpmath.pi)
+        flux = lambda p: mpmath.re((p.transpose_conj() * mc(J_ORACLE) * p)[0])
+        top = mpmath.expm(M * mpmath.mpf(d)) * mc(psi0)
+        boundary = c / (16 * mpmath.pi) * (flux(mc(psi0)) - flux(top))
+        return float(boundary), float(absorbed)
+
+
 def gamma_oracle(T, u1, u0):
     """Solve the two-point relation directly for the magnetic traces.
 

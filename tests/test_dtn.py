@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -20,15 +22,18 @@ from dtnstack import (
     lambda_map,
     transfer,
 )
-from dtnstack.transfer import J, RHO, resolve_layers
+from dtnstack.dtn import _layer_point_counts
+from dtnstack.linalg import hermitian_parts
+from dtnstack.transfer import J, RHO, field_profile, resolve_layers, resolve_stack
 from generators import (
+    rand_constant_material,
     rand_kappa,
     rand_omega,
     rand_stack,
     rand_tangential,
     vacuum_slab,
 )
-from oracles import gamma_oracle
+from oracles import energy_midpoint_oracle, gamma_oracle
 
 RHO_STAR = RHO.conj().T
 
@@ -360,3 +365,81 @@ def test_energy_subinterval(rng):
 def test_energy_domain_gate():
     with pytest.raises(DomainError):
         energy_balance(vacuum_slab(), (1.0, 0, 0, 0), (0.0, 0.0), 1.0)
+
+
+def _per_sample_energy(s, psi0, kap, om, z0, z1, n_points):
+    """Both energy sides from field_profile samples and the explicit
+    midpoint sum over the cells energy_balance uses."""
+    b = s.boundaries
+    lo, hi = np.maximum(z0, b[:-1]), np.minimum(z1, b[1:])
+    seg = np.flatnonzero(hi > lo)
+    counts = np.array(_layer_point_counts(list(hi[seg] - lo[seg]), n_points))
+    h = np.repeat((hi[seg] - lo[seg]) / counts, counts)
+    cell = np.arange(h.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    zs = np.repeat(lo[seg], counts) + (cell + 0.5) * h
+    layer = np.repeat(seg, counts)
+    psi, phi = field_profile(s, psi0, kap, om, np.append(zs, [z0, z1]), z_ref=z0)
+    _, we, wm = resolve_stack(s, om)
+    absorbed = 0.0
+    for n in range(h.size):
+        E = np.append(psi[n, :2], phi[n, 0])
+        H = np.append(psi[n, 2:], phi[n, 1])
+        dens = (np.vdot(E, hermitian_parts(we[layer[n]]).imag @ E)
+                + np.vdot(H, hermitian_parts(wm[layer[n]]).imag @ H)).real
+        absorbed += h[n] * dens / (8.0 * np.pi)
+    flux = [float(np.vdot(p, J @ p).real) for p in psi[h.size:]]
+    return (s.c / (16.0 * np.pi)) * (flux[0] - flux[1]), absorbed
+
+
+def test_energy_gram_matches_per_sample_sum(rng):
+    # the absorbed side from per-anchor Gram matrices equals the sum of the
+    # per-sample densities of field_profile's fields; the boundary side is
+    # the same endpoint evaluation, bit for bit
+    for trial in range(8):
+        s = rand_stack(rng, max_layers=4)
+        kap, om = rand_kappa(rng), rand_omega(rng)
+        psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        b = s.boundaries
+        z0, z1 = ((b[0], b[-1]) if trial % 2 == 0
+                  else sorted(rng.uniform(b[0], b[-1], 2)))  # inside layers
+        for n in (1, 7, 500, 3000):
+            rep = energy_balance(s, psi0, kap, om, z0, z1, n_points=n)
+            boundary, absorbed = _per_sample_energy(s, psi0, kap, om, z0, z1, n)
+            assert rep.boundary_flux == boundary
+            assert abs(rep.absorption_integral - absorbed) <= 1e-13 * abs(absorbed)
+
+
+@pytest.mark.parametrize("d", [0.5, 5.0, 20.0])
+def test_energy_matches_mpmath_midpoint_oracle(d):
+    # ROADMAP item 5's lossy layer: both sides within 1e-13 of the 50-digit
+    # boundary product and midpoint sum
+    pytest.importorskip("mpmath")
+    eps = ConstantModel(value=np.diag([2 + 0.5j, 3 + 0.3j, 2.5 + 0.4j]))
+    mu = ConstantModel(value=np.eye(3, dtype=complex))
+    s = StackSpec(z_min=0.0, layers=(Layer(d, MaterialSpec("lossy", eps, mu)),))
+    om, kap = 1 + 0.3j, (0.8, 0.0)
+    psi0 = np.array([1.0, 0.5 - 0.2j, -0.3j, 0.7])
+    ((_, we, wm),) = resolve_layers(s, om)
+    boundary, absorbed = energy_midpoint_oracle(we, wm, kap, psi0, d, 200, s.c)
+    rep = energy_balance(s, psi0, kap, om, n_points=200)
+    assert abs(rep.boundary_flux - boundary) <= 1e-13 * abs(boundary)
+    assert abs(rep.absorption_integral - absorbed) <= 1e-13 * abs(absorbed)
+
+
+def test_energy_chunked_anchors_match_one_chunk(rng, monkeypatch):
+    # anchor chunks of three sum to the absorbed side of one chunk; the
+    # endpoints, evaluated sample by sample, do not move at all
+    transfer_module = importlib.import_module("dtnstack.transfer")
+    s = StackSpec(z_min=0.0, layers=tuple(Layer(1.5, rand_constant_material(rng, f"m{k}"))
+                                          for k in range(4)))
+    kap, om = (1.5, -0.5), rand_omega(rng)
+    psi0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    z0 = s.z_min + 0.3 * (s.z_max - s.z_min)
+    stage = transfer_module._anchor_stage(s, psi0, kap, om, np.linspace(z0, s.z_max, 800), z0)
+    assert stage.anchor_layer.size > 9  # more than three chunks of three
+    whole = energy_balance(s, psi0, kap, om, z0=z0, n_points=800)
+    monkeypatch.setattr(transfer_module, "MAT_EXP_BATCH", 3)
+    chunked = energy_balance(s, psi0, kap, om, z0=z0, n_points=800)
+    assert chunked.boundary_flux == whole.boundary_flux
+    assert chunked.absorption_integral == pytest.approx(whole.absorption_integral, rel=1e-14)
+    assert chunked.n_points == whole.n_points

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dtnstack import report
 from dtnstack.analyticity import PointRecord
 from dtnstack.exceptions import ParameterError
 from dtnstack.report import (
@@ -34,6 +35,53 @@ def test_dumps_complex_numpy_tuples_and_paths():
     assert dumps_deterministic({"w": 1 + 2j}) == dumps_deterministic({"w": [1.0, 2.0]})
     with pytest.raises(ParameterError):
         dumps_deterministic({"x": object()})
+
+
+def _boxed(obj):
+    """``obj`` with every Python float an ``np.float64`` and every complex
+    value its ``[re, im]`` pair of them: no list of it is a list of Python
+    floats only, so every value is written element by element."""
+    if type(obj) is float:
+        return np.float64(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [np.float64(obj.real), np.float64(obj.imag)]
+    if isinstance(obj, dict):
+        return {k: _boxed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_boxed(v) for v in obj)
+    if isinstance(obj, np.ndarray):
+        return _boxed(obj.tolist())
+    return obj
+
+
+def test_float_list_template_matches_per_element_text():
+    # lists of finite Python floats take one cached %.17g template; the text
+    # is byte for byte what each element written on its own gives
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(float)
+    finite = bits[np.isfinite(bits)].tolist()
+    obj = {
+        "random": finite,
+        "edges": [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                  1e16, 123456789012345678.0, 0.1, 1.0 / 3.0],
+        "overflowing sum": [1e308, 1e308],
+        "nan": [1.0, math.nan], "inf": [math.inf, 2.0], "-inf": [-math.inf],
+        "numpy floats": [np.float64(0.5), 0.25], "numpy bools": [np.bool_(True), 0.5],
+        "bools": [True, 1.5], "ints": [3, 0.5], "empty": [], "nested": [[], [[]], [1.5, 2.5]],
+        "tuple": (0.1, 0.2), "tuples": ((1.0, 2.0), (3.5,)),
+        "complex": [1 + 2j, np.complex128(-0.5j)], "complex array": np.array([1j, 2.0]),
+        "array": np.linspace(-1.0, 1.0, 7),
+        "matrix": np.arange(6.0).reshape(2, 3), "path": Path("sub") / "x.csv",
+        3: [4.0], True: {"deep": [[0.5, -0.5], [0.25]]},
+    }
+    report._float_list_template.cache_clear()
+    text = dumps_deterministic(obj)
+    assert report._float_list_template.cache_info().currsize > 0
+    report._float_list_template.cache_clear()
+    assert text == dumps_deterministic(_boxed(obj))
+    assert report._float_list_template.cache_info().currsize == 0
+    for x in finite[:500]:
+        assert "%.17g" % x == _fmt_float(x)
 
 
 def test_dumps_deterministic_sorted_and_17_digits():

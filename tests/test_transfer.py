@@ -267,7 +267,7 @@ def _lossy_layer(d):
     return StackSpec(z_min=0.0, layers=(Layer(d, MaterialSpec("lossy", eps, mu)),))
 
 
-@pytest.mark.parametrize("d, ref", [(0.5, 0.0), (5.0, 0.0), (20.0, 0.0), (5.0, 0.5)])
+@pytest.mark.parametrize("d, ref", [(0.5, 0.0), (5.0, 0.0), (20.0, 0.0), (5.0, 0.5), (20.0, 0.5)])
 def test_field_profile_matches_mpmath_oracle(d, ref):
     # every sample within 1e-13 (max-norm, relative) of the 50-digit action
     # exp((z - z_ref) i J A) psi0, z_ref at the bottom face or mid-layer
