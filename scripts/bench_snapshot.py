@@ -18,12 +18,16 @@ the pairs and a median difference beyond the base's interquartile range.
 One ``--trace 1`` run per side (per-layer metrics), the tier-1 time of the
 head and ``perfbench/machine.json`` are host-dependent absolutes, kept for
 their counts. A fixed numpy kernel (``calibration_s``) is timed at the start
-and at the end of the snapshot, so drift of the host during it shows in the
-file. The file is written at the root of the checkout holding this script.
+and at the end of the snapshot, and their ratio ``drift`` (end / start) shows
+how the host drifted during it. Each side's ``code`` names what it ran: its
+commit, a ``dirty`` flag for a tree that differs from it, and the sha256 of
+its ``git diff HEAD``. The file is written at the root of the checkout
+holding this script.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -134,9 +138,17 @@ def paired(base: Path, head: Path, bench: dict, seed: int) -> dict:
     return workloads
 
 
-def _commit(root: Path) -> str:
-    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
-                          capture_output=True, text=True).stdout.strip()
+def _git(root: Path, *args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True).stdout
+
+
+def provenance(root: Path) -> dict:
+    """The code a side ran: its commit, whether its tree differs from that
+    commit (``git status --porcelain`` lists anything, untracked files too)
+    and the sha256 of ``git diff HEAD``, which names the tracked changes."""
+    return {"commit": _git(root, "rev-parse", "HEAD").decode().strip(),
+            "dirty": bool(_git(root, "status", "--porcelain").strip()),
+            "diff_sha256": hashlib.sha256(_git(root, "diff", "HEAD")).hexdigest()}
 
 
 def main(argv=None) -> int:
@@ -150,17 +162,21 @@ def main(argv=None) -> int:
     root, base = args.root.resolve(), args.base.resolve()
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     calibration_start = calibration_s()
+    head_code, base_code = provenance(root), provenance(base)
     snapshot = {
         "label": args.label,
-        "commit": _commit(root),
-        "base_commit": _commit(base),
+        "commit": head_code["commit"],
+        "base_commit": base_code["commit"],
+        "code": {"head": head_code, "base": base_code},
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": args.seed,
         "run_seconds": bench["run_seconds"],
         "machine": json.loads((root / "perfbench" / "machine.json").read_text(encoding="utf-8")),
         "workloads": paired(base, root, bench, args.seed),
     }
-    snapshot["calibration_s"] = {"start": calibration_start, "end": calibration_s()}
+    calibration_end = calibration_s()
+    snapshot["calibration_s"] = {"start": calibration_start, "end": calibration_end,
+                                 "drift": calibration_end / calibration_start}
     snapshot["tier1"] = tier1(root)
     out = HERE / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -269,18 +269,24 @@ class DtnCertificate:
 
 def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float,
                    z0: float | None = None, z1: float | None = None,
-                   certify=True) -> tuple[np.ndarray, tuple[DtnCertificate, ...]]:
+                   certify=True, phase_of_layer=None
+                   ) -> tuple[np.ndarray, tuple[DtnCertificate, ...]]:
     """Boundary operators ``batch + (6, 6)`` of resolved stacks with tensors of
-    shape ``batch + (L, 3, 3)``, and the certificates of the entries where
-    ``certify`` (broadcast to ``batch``) is true, in C order. Every entry
-    goes through the ``T12`` singularity guard; the certified ones get the
-    passivity, well-posedness and positivity checks, one batched call each."""
-    T = propagate(thickness, omega_eps, omega_mu, kappa, c, z_min, z0, z1)
+    shape ``batch + (L, 3, 3)`` (per phase, with ``phase_of_layer``: see
+    :func:`~dtnstack.transfer.propagate`), and the certificates of the
+    entries where ``certify`` (broadcast to ``batch``) is true, in C order.
+    Every entry goes through the ``T12`` singularity guard; the certified
+    ones get the passivity, well-posedness and positivity checks, one
+    batched call each."""
+    T = propagate(thickness, omega_eps, omega_mu, kappa, c, z_min, z0, z1, phase_of_layer)
     L = _lambda_matrix(_gamma_matrix(T))
     mask = np.broadcast_to(certify, T.shape[:-2])
     if not mask.any():
         return L, ()
-    pc = passivity_check(omega_eps[mask], omega_mu[mask])  # (entries, layers) arrays
+    we, wm = omega_eps[mask], omega_mu[mask]
+    if phase_of_layer is not None:  # passivity is certified per layer
+        we, wm = we[:, phase_of_layer], wm[:, phase_of_layer]
+    pc = passivity_check(we, wm)  # (entries, layers) arrays
     wds = check_well_defined(T[mask])
     im_mins = min_im_eig(L[mask][:, TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES])
     certs = []
@@ -368,12 +374,15 @@ def _tensor_dtn(thickness, phase_of_layer, Z, kappa, c: float, z_min: float,
                 certify: bool) -> tuple[DtnMap, tuple[DtnCertificate, ...]]:
     """:func:`dtn_from_tensors` of layers ``thickness``, layer ``j`` taking phase
     ``phase_of_layer[j]`` of ``Z`` (omega*eps per phase, then omega*mu per
-    phase), with every entry's certificate or none."""
+    phase), with every entry's certificate or none. The per-phase tensors
+    go to :func:`~dtnstack.transfer.propagate` with the layer-to-phase
+    index (the phase route), so ``build_A`` and the Padé powers run once
+    per (entry, phase); only certification expands them to layers."""
     k = _validate_kappa_real(kappa)
     S = np.stack(np.broadcast_arrays(*Z), axis=-3)
-    p = np.asarray(phase_of_layer)
-    L, certs = _certified_dtn(thickness, S[..., p, :, :], S[..., len(Z) // 2 + p, :, :],
-                              k, c, z_min, certify=certify)
+    P = len(Z) // 2
+    L, certs = _certified_dtn(thickness, S[..., :P, :, :], S[..., P:, :, :], k, c, z_min,
+                              certify=certify, phase_of_layer=np.asarray(phase_of_layer))
     return DtnMap(float(z_min), float(np.cumsum((z_min, *thickness))[-1]), L), certs
 
 

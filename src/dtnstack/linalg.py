@@ -145,19 +145,9 @@ def _pade13(A: np.ndarray, norm: np.ndarray) -> np.ndarray:
     return E
 
 
-def mat_exp(M) -> np.ndarray:
-    """Matrix exponential of a square complex matrix or a batch of them.
-
-    Padé approximation with scaling and squaring (N. J. Higham, SIAM J.
-    Matrix Anal. Appl. 26:1179, 2005), vectorised over leading batch axes.
-    Each matrix gets the lowest degree in {3, 5, 7, 9} whose bound covers
-    its 1-norm, unscaled, or else degree 13 with its own power-of-two
-    scaling, so a matrix gets the same result in any batch. Relative
-    accuracy is about 1e-14 for 1-norms up to ~100. Raises
-    :class:`NumericRangeError` if any result overflows.
-    """
-    A = as_cmatrix(M, "exponent", square=True, batch=True)
-    flat = A.reshape((-1,) + A.shape[-2:])
+def _exp_each(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponentials of a flat batch of matrices, each at its own degree, and
+    their 1-norms."""
     E = np.empty_like(flat)
     with np.errstate(all="ignore"):
         norm = np.abs(flat).sum(axis=-2).max(axis=-1)
@@ -167,9 +157,131 @@ def mat_exp(M) -> np.ndarray:
             m = _DEGREES[i]
             E[rows] = (_pade13(flat[rows], norm[rows]) if m == 13
                        else _pade(flat[rows], _PADE[m]))
+    return E, norm
+
+
+#: the Padé coefficients of degrees 3, 5, 7 and 9, one row per band, padded
+#: with zeros to degree 9
+_PADE_BANDS = np.array([_PADE[m] + (0.0,) * (9 - m) for m in _DEGREES[:-1]])
+
+
+def _exp_scaled(B: np.ndarray, w: np.ndarray,
+                base_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(w[j] B[n, base_of[j]])`` for bases ``B`` of shape (N, P, m, m),
+    shape (N, L, m, m), and the 1-norms of the scaled matrices (see
+    :func:`mat_exp`)."""
+    N, P, m = B.shape[0], B.shape[1], B.shape[-1]
+    with np.errstate(all="ignore"):
+        base_norm = np.abs(B).sum(axis=-2).max(axis=-1)
+        norm = np.abs(w) * base_norm[:, base_of]
+        band = np.searchsorted(_THETA, norm)
+        big = band == len(_THETA)
+        E = np.empty((N, w.size, m, m), dtype=complex)
+        if big.any():  # beyond degree 9: the scaled matrix on its own
+            n, j = np.nonzero(big)
+            X = B[n, base_of[j]] * w[j, None, None]
+            if not np.all(np.isfinite(X.view(float))):
+                raise NumericRangeError("exponent contains non-finite entries")
+            E[big] = _exp_each(X)[0]
+        if not big.all():
+            n, j = np.nonzero(~big)
+            E[~big] = _pade_shared(B.reshape(-1, m, m), base_norm.reshape(-1),
+                                   w[j], n * P + base_of[j], _slots(base_of)[j], band[~big])
+    return E, norm
+
+
+def _slots(base_of: np.ndarray) -> np.ndarray:
+    """For each entry, how many earlier entries equal it."""
+    order = np.argsort(base_of, kind="stable")
+    slot = np.empty_like(base_of)
+    slot[order] = np.arange(slot.size) - np.searchsorted(base_of[order], base_of[order])
+    return slot
+
+
+def _pade_shared(B: np.ndarray, base_norm: np.ndarray, w: np.ndarray, base: np.ndarray,
+                 slot: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Padé approximants of degree below 13 of ``w[r] B[base[r]]``, each at
+    its band's degree, shape (R, m, m), the ``slot[r]``-th of its base.
+
+    Each base is divided by a power of two, 2^e, which is exact: its 1-norm
+    lies in [1/2, 1), so none of its powers overflows, and ``w 2^e`` carries
+    the scale. Its even powers are formed once, up to the highest degree any
+    matrix of the call needs. Per scaled matrix, with ``c_i = b_i (w 2^e)^i``, the odd
+    sum S and the even sum V are taken elementwise in :func:`_pade`'s order,
+    broadcasting each base's powers over its slots, and ``U = B S`` is one
+    product. So a matrix's value does not depend on its batch, and a
+    power-of-two ``w`` gives the bits of :func:`_pade` on ``w B``.
+    """
+    m = B.shape[-1]
+    e = np.frexp(base_norm)[1]
+    Bs = np.ldexp(B.view(float), -e[:, None, None]).view(complex)
+    B2 = Bs @ Bs
+    powers = [B2]
+    while 2 * len(powers) < _DEGREES[band.max()] - 1:
+        powers.append(powers[-1] @ B2)
+    c = np.zeros((B.shape[0], int(slot.max()) + 1, _PADE_BANDS.shape[1]))
+    c[base, slot] = _PADE_BANDS[band] * np.vander(np.ldexp(w, e[base]), c.shape[-1],
+                                                  increasing=True)
+    cf = c[..., np.newaxis, np.newaxis]
+    G = [P.view(float)[:, np.newaxis] for P in powers]
+    S, V = cf[:, :, 3] * G[0], cf[:, :, 2] * G[0]
+    d = np.arange(m)
+    S.view(complex)[:, :, d, d] += c[:, :, 1, np.newaxis]  # the identity's term comes first
+    V.view(complex)[:, :, d, d] += c[:, :, 0, np.newaxis]
+    for i in range(1, len(powers)):
+        S += cf[:, :, 2 * i + 3] * G[i]
+        V += cf[:, :, 2 * i + 2] * G[i]
+    S, V = S.view(complex), V.view(complex)
+    U = Bs[:, np.newaxis] @ S
+    D = V - U
+    if base.size < D.shape[0] * D.shape[1]:
+        unused = np.ones(D.shape[:2], dtype=bool)
+        unused[base, slot] = False
+        D[unused] = np.eye(m)  # an unused slot solves harmlessly
+    V += U
+    return np.linalg.solve(D, V)[base, slot]
+
+
+def mat_exp(M, scales=None, base_of=None) -> np.ndarray:
+    """Matrix exponential of a square complex matrix or a batch of them.
+
+    Padé approximation with scaling and squaring (N. J. Higham, SIAM J.
+    Matrix Anal. Appl. 26:1179, 2005), vectorised over leading batch axes.
+    Each matrix gets the lowest degree in {3, 5, 7, 9} whose bound covers
+    its 1-norm, unscaled, or else degree 13 with its own power-of-two
+    scaling, so a matrix gets the same result in any batch. Relative
+    accuracy is about 1e-14 for 1-norms up to ~100. Raises
+    :class:`NumericRangeError` if any result overflows.
+
+    With ``scales`` and ``base_of`` (the phase route), ``M`` holds bases
+    of shape (..., P, n, n) and the result is ``exp(scales[j] * M[...,
+    base_of[j], :, :])`` for each ``j``, shape (..., len(scales), n, n).
+    Exponentials of one base at many scales ``w`` share its even powers,
+    since ``(w B)^k = w^k B^k`` (Al-Mohy & Higham, SIAM J. Sci. Comput.
+    33:488, 2011): each base is divided by a power of two to a 1-norm in
+    [1/2, 1), which is exact, and its even powers are formed once, up to
+    the highest degree any scaled matrix of the call needs. Each scaled
+    matrix takes its degree from ``|w| ||B||_1`` and costs its
+    coefficients ``b_i w^i``, one product and one solve; one beyond the
+    degree-9 bound is formed and exponentiated on its own, as above. Every
+    result depends only on its own base and scale, whatever the batch.
+    """
+    A = as_cmatrix(M, "exponent", square=True, batch=True)
+    if scales is None:
+        E, norm = _exp_each(A.reshape((-1,) + A.shape[-2:]))
+        shape = A.shape
+    else:
+        w = np.asarray(scales, dtype=float).reshape(-1)
+        idx = np.asarray(base_of, dtype=int).reshape(-1)
+        if A.ndim < 3 or idx.shape != w.shape:
+            raise DimensionError(f"the phase route needs bases (..., P, n, n) and one "
+                                 f"base per scale, got {A.shape}, {w.size} scales "
+                                 f"and {idx.size} bases")
+        E, norm = _exp_scaled(A.reshape((-1,) + A.shape[-3:]), w, idx)
+        shape = A.shape[:-3] + E.shape[-3:]
     if not np.all(np.isfinite(E.view(float))):
         raise NumericRangeError(f"mat_exp overflowed (input norm {np.max(norm):.3e})")
-    return E.reshape(A.shape)
+    return E.reshape(shape)
 
 
 def condition_1norm(A):

@@ -19,6 +19,7 @@ and ``<cmat3>`` is a 3×3 complex matrix written as nested ``[re, im]`` pairs.
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +214,18 @@ def material_from_json(obj: dict, key: str = "material") -> MaterialSpec:
     return MaterialSpec(label, eps, mu)
 
 
+def _same_document(a, b) -> bool:
+    """Whether two material documents decode alike. ``==`` is not enough:
+    JSON's ``true`` equals ``1`` and ``-0.0`` equals ``0.0``, but they decode
+    differently; equal documents whose pickle bytes agree are equal in every
+    type and bit. Documents that cannot be compared so (arrays, objects that
+    do not pickle) are decoded on their own."""
+    try:
+        return a == b and pickle.dumps(a) == pickle.dumps(b)
+    except (ValueError, TypeError, AttributeError, pickle.PicklingError):
+        return False
+
+
 def parse_stack(doc: dict) -> StackSpec:
     """Validate and decode the stack object found at ``doc["stack"]``.
 
@@ -231,13 +244,23 @@ def parse_stack(doc: dict) -> StackSpec:
     if not isinstance(layers_doc, list) or not layers_doc:
         _fail("stack.layers", "must be a non-empty list")
     layers = []
+    decoded: dict = {}  # label -> [(material document, MaterialSpec)]
     for i, ld in enumerate(layers_doc):
         lkey = f"stack.layers[{i}]"
         t = _number(_get(ld, "thickness", lkey), f"{lkey}.thickness")
         if t <= 0:
             _fail(f"{lkey}.thickness", f"must be > 0, got {t}")
-        layers.append(Layer(t, material_from_json(_get(ld, "material", lkey),
-                                                  f"{lkey}.material")))
+        # a repeated material document is decoded once: its first layer's
+        # MaterialSpec serves every later copy. Looked up by label, so a stack
+        # of distinct materials compares no documents
+        mdoc = _get(ld, "material", lkey)
+        label = mdoc.get("label") if isinstance(mdoc, dict) else None
+        same = decoded.setdefault(label, []) if isinstance(label, str) else []
+        material = next((m for d, m in same if _same_document(d, mdoc)), None)
+        if material is None:
+            material = material_from_json(mdoc, f"{lkey}.material")
+            same.append((mdoc, material))
+        layers.append(Layer(t, material))
     try:
         return StackSpec(z_min=z_min, layers=tuple(layers), c=c)
     except ToolkitError as exc:

@@ -41,6 +41,9 @@ RHO = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 #: 4×4 flux matrix [[0, RHO], [RHO*, 0]]; Hermitian, J @ J = I
 J = np.block([[np.zeros((2, 2)), RHO], [RHO.conj().T, np.zeros((2, 2))]]).astype(complex)
 
+#: i times the signs of J's nonzero entries, row by row (see :func:`_ij`)
+_IJ_SIGNS = np.array([1j, -1j, -1j, 1j])[:, np.newaxis]
+
 #: field_profile's Taylor steps: each sample lies within _TAYLOR_R / ||i J A||_1
 #: of its anchor, so truncating exp after degree _TAYLOR_K leaves an error of at
 #: most about R^(K+1) / (K+1)! ~ 2e-20 relative to the anchor's field (Moler &
@@ -172,15 +175,30 @@ def layer_propagator(A, dz) -> np.ndarray:
     return mat_exp(M)
 
 
+def _ij(A: np.ndarray) -> np.ndarray:
+    """``i J A`` by a signed row permutation: row ``r`` of ``J A`` is ``A``'s row
+    ``3 - r`` with sign ``+, -, -, +``. Bitwise ``1j * (J @ A)`` except for the
+    signs of zeros."""
+    return A[..., ::-1, :] * _IJ_SIGNS
+
+
 def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
               z_min: float = 0.0, z0: float | None = None,
-              z1: float | None = None) -> np.ndarray:
+              z1: float | None = None, phase_of_layer=None) -> np.ndarray:
     """Transfer matrices ``T(z0, z1)`` of resolved stacks, shape (..., 4, 4).
 
     ``thickness`` has shape (L,) and the tensors (..., L, 3, 3), one stack
     per leading index; ``z_min`` is the bottom face and ``[z0, z1]``
     defaults to the whole stack. The layers overlapping it, clipped to it,
     go through one :func:`mat_exp` call and multiply in layer order.
+
+    With ``phase_of_layer`` (the phase route) the tensors are per phase,
+    shape (..., P, 3, 3), and layer ``j`` takes phase ``phase_of_layer[j]``:
+    :func:`build_A` runs once per (entry, phase) in use, ``B_p = i J A_p``
+    comes from a signed row permutation, and the one :func:`mat_exp` call
+    takes the bases with each layer's width as its scale, so the layers of
+    one phase share its Padé powers. Without it every layer exponentiates
+    its own ``i J A_j dz_j`` (:func:`layer_propagator`).
     """
     t = np.asarray(thickness, dtype=float).reshape(-1)
     if not np.all(np.isfinite(t) & (t > 0)):
@@ -197,8 +215,13 @@ def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
     keep = np.flatnonzero(widths > 0)
     T = np.broadcast_to(np.eye(4, dtype=complex), we.shape[:-3] + (4, 4)).copy()
     if keep.size:
-        A = build_A(we[..., keep, :, :], wm[..., keep, :, :], kappa, c)
-        P = layer_propagator(A, widths[keep])
+        if phase_of_layer is None:
+            A = build_A(we[..., keep, :, :], wm[..., keep, :, :], kappa, c)
+            P = layer_propagator(A, widths[keep])
+        else:
+            phases, base_of = np.unique(np.asarray(phase_of_layer)[keep], return_inverse=True)
+            A = build_A(we[..., phases, :, :], wm[..., phases, :, :], kappa, c)
+            P = mat_exp(_ij(A), widths[keep], base_of)
         for k in range(keep.size):
             T = P[..., k, :, :] @ T
     if not np.all(np.isfinite(T.view(float))):

@@ -21,6 +21,8 @@ from dtnstack import (
     slice_analyticity,
 )
 from dtnstack import analyticity
+from dtnstack.dtn import _gamma_matrix, _lambda_matrix
+from dtnstack.transfer import propagate
 from dtnstack.analyticity import (
     CR_OFFSETS,
     MAT_EXP_BATCH,
@@ -318,6 +320,62 @@ def test_phase_dtn_matches_expanded_layers_and_stack_route(rng):
     assert np.array_equal(Lb.matrix,
                           dtn_from_tensors(expanded(batched), kap, s.c, s.z_min)[0].matrix)
     assert np.array_equal(Lb.matrix[0], L.matrix)
+
+
+def _phase_stack(rng, n_phases, n_layers):
+    """A stack of ``n_layers`` layers cycling through ``n_phases`` random phases."""
+    mats = [(rand_dispersive_material if p % 2 else rand_constant_material)(rng, label=f"p{p}")
+            for p in range(n_phases)]
+    return StackSpec(z_min=float(rng.uniform(-1.0, 0.0)), layers=tuple(
+        Layer(float(rng.uniform(0.05, 0.2)), mats[j % n_phases]) for j in range(n_layers)))
+
+
+def _transfer_both_routes(stack, kappa, phase_of_layer, Z):
+    """T from the phase route and from the layer-expanded route, where the
+    tensors are expanded to layers and every layer exponentiates its own
+    i J A_j dz_j."""
+    P, p = len(Z) // 2, np.asarray(phase_of_layer)
+    S = np.stack(np.broadcast_arrays(*Z), axis=-3)
+    args = ([ly.thickness for ly in stack.layers], kappa, stack.c, stack.z_min)
+    phase = propagate(args[0], S[..., :P, :, :], S[..., P:, :, :], *args[1:],
+                      phase_of_layer=p)
+    layers = propagate(args[0], S[..., p, :, :], S[..., P + p, :, :], *args[1:])
+    return phase, layers
+
+
+@pytest.mark.parametrize("n_phases, n_layers", [(2, 7), (3, 9)])
+def test_phase_route_matches_layer_expanded_route(rng, n_phases, n_layers):
+    # the phase route shares each phase's system matrix and Padé powers; the
+    # layer-expanded route exponentiates every layer on its own. T agrees to
+    # rounding; Lambda = f(T) amplifies that by up to cond(T) (seen: 1.1e-16
+    # cond(T) over 240 such stacks), so it is held to 1e-14 while cond(T) <= 10
+    for _ in range(4):
+        s = _phase_stack(rng, n_phases, n_layers)
+        om = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5))
+        kap = tuple(rng.uniform(-1.0, 1.0, size=2))
+        _, phase_of_layer, Z = phase_tensors(s, om)
+        T, ref_T = _transfer_both_routes(s, kap, phase_of_layer, Z)
+        assert np.linalg.norm(T - ref_T) <= 1e-14 * np.linalg.norm(ref_T)
+        L = phase_dtn(s, kap, phase_of_layer, Z).matrix
+        assert np.array_equal(L, _lambda_matrix(_gamma_matrix(T)))
+        ref = _lambda_matrix(_gamma_matrix(ref_T))
+        bound = 1e-15 * max(np.linalg.cond(ref_T), 10.0)
+        assert np.linalg.norm(L - ref) <= bound * np.linalg.norm(ref)
+
+
+def test_phase_route_batch_matches_single_entries(rng):
+    # entries whose tensors differ in size need different Padé degrees (so a
+    # different number of shared powers); each equals its own call
+    s = _phase_stack(rng, 3, 8)
+    om, kap = 0.3 + 0.8j, rand_kappa(rng)
+    _, phase_of_layer, Z = phase_tensors(s, om)
+    scale = np.array([0.2, 1.0, 4.0, 12.0])[:, None, None]
+    batched = [Zi * scale if i % 3 == 0 else Zi for i, Zi in enumerate(Z)]
+    Lb = phase_dtn(s, kap, phase_of_layer, batched).matrix
+    assert Lb.shape == (4, 6, 6)
+    for n in range(4):
+        single = [Zi[n] if Zi.ndim == 3 else Zi for Zi in batched]
+        assert np.array_equal(Lb[n], phase_dtn(s, kap, phase_of_layer, single).matrix)
 
 
 @pytest.mark.parametrize("tensor_index", [0, 3], ids=["eps", "mu"])

@@ -115,6 +115,74 @@ def test_mat_exp_batch_matches_single_calls(rng):
         assert np.linalg.norm(EM - single) <= 1e-14 * np.linalg.norm(single)
 
 
+def test_mat_exp_scaled_matches_high_precision_oracle():
+    # exp(w B) from shared powers of one base, at scales w whose 1-norms
+    # straddle every degree's bound (3 to 13), against the 50-digit action
+    # of the same double inputs
+    pytest.importorskip("mpmath")
+    from oracles import expm_action_oracle
+
+    rng = np.random.default_rng(7212)
+    B = _with_norm(rng, 1.0)
+    w = np.array(BAND_EDGE_NORMS)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    E = mat_exp(B[None], w, np.zeros(w.size, dtype=int))
+    ref = expm_action_oracle(B, v, w)
+    err = np.linalg.norm(E @ v - ref, axis=-1) / np.linalg.norm(ref, axis=-1)
+    assert np.max(err) <= 1e-13
+
+
+def test_mat_exp_scaled_batch_matches_single_calls(rng):
+    # bases of three phases in four entries, at norms that give each entry
+    # different Padé degrees; every entry of the batch is its own call's, and
+    # each scaled exponential agrees with exponentiating w B directly
+    B = rng.standard_normal((4, 3, 4, 4)) + 1j * rng.standard_normal((4, 3, 4, 4))
+    B *= np.array([0.05, 0.5, 3.0, 40.0]).reshape(4, 1, 1, 1) / np.abs(B).sum(-2).max(-1)[
+        ..., None, None]
+    w = np.array([0.1, 0.02, 0.3, 0.05, 0.2, 1.0, 0.07])
+    base_of = np.array([0, 1, 0, 2, 1, 0, 2])
+    E = mat_exp(B, w, base_of)
+    assert E.shape == (4, 7, 4, 4)
+    for n in range(4):
+        assert np.array_equal(mat_exp(B[n], w, base_of), E[n])
+        direct = mat_exp(B[n, base_of] * w[:, None, None])
+        assert np.max(np.linalg.norm(E[n] - direct, axis=(-2, -1))
+                      / np.linalg.norm(direct, axis=(-2, -1))) <= 1e-14
+
+
+def test_mat_exp_scaled_power_of_two_scales_match_bitwise(rng):
+    # scaling by a power of two is exact, so the shared powers and the
+    # coefficients b_i w^i reproduce exp(w B) of the per-matrix route bit for
+    # bit; the stack route and the phase route agree on such layers
+    norms = np.array([0.01, 0.2, 0.7, 1.5, 2.0])  # degrees 3 to 9 at w = 1
+    B = _with_norm(rng, norms, norms.shape)
+    w = np.array([0.25, 0.5, 1.0, 0.5, 0.125, 1.0])
+    base_of = np.array([0, 1, 2, 3, 4, 4])
+    E = mat_exp(B, w, base_of)
+    assert np.array_equal(E, mat_exp(B[base_of] * w[:, None, None]))
+
+
+def test_mat_exp_scaled_huge_and_tiny_bases(rng):
+    # ||B|| = 1e200 at w = 1e-200 (and the reverse): every power of the base
+    # would overflow (underflow) unscaled, the exponent w B does not; no
+    # RuntimeWarning either (warnings are errors)
+    B = _with_norm(rng, 1.0)
+    expected = mat_exp(B)
+    for norm, w in ((1e200, 1e-200), (1e-200, 1e200)):
+        E = mat_exp((B * norm)[None], [w], [0])[0]
+        assert np.linalg.norm(E - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_mat_exp_scaled_overflow_keeps_its_messages():
+    B = np.diag([1e6, 1e6]).astype(complex)[None]
+    with pytest.raises(NumericRangeError, match="mat_exp overflowed"):
+        mat_exp(B, [1.0], [0])
+    with pytest.raises(NumericRangeError, match="exponent contains non-finite entries"):
+        mat_exp(B * 1e300, [1e10], [0])
+    with pytest.raises(DimensionError):
+        mat_exp(B, [1.0, 2.0], [0])
+
+
 def test_as_cmatrix_accepts_a_strided_last_axis(rng):
     # the tangential compression of a batched map is a fancy-indexed array
     # whose last axis is strided; its finiteness check used to raise

@@ -160,3 +160,57 @@ def test_parse_rejects_nonpositive_thickness():
     with pytest.raises(StackParseError) as exc:
         parse_stack(doc)
     assert "thickness" in str(exc.value)
+
+
+def test_parse_decodes_each_material_document_once():
+    # equal documents share one MaterialSpec; a document that
+    # differs only where == cannot tell (true for 1, -0.0 for 0.0) is decoded
+    # on its own, so it is still validated
+    value = [[[2, 0.5], [0, -1], [0, 0]],
+             [[0, 1], [3, 0], [0, 0]],
+             [[0, 0], [0, 0], [1.5, 0.25]]]
+    doc = json.loads(json.dumps({"stack": {"z_min": 0.0, "layers": [
+        _layer(0.5, {"kind": "constant", "value": value}),
+        _layer(0.25, {"kind": "constant", "value": ID3}),
+        _layer(0.75, {"kind": "constant", "value": value})]}}))
+    s = parse_stack(doc)
+    m0, m1, m2 = (ly.material for ly in s.layers)
+    assert m0 is m2 and m1 is not m0
+    assert np.array_equal(m1.eps_model.value, np.eye(3))
+
+    signed = json.loads(json.dumps(doc))
+    signed["stack"]["layers"][2]["material"]["eps"]["value"][0][1][0] = -0.0
+    s = parse_stack(signed)
+    assert s.layers[2].material is not s.layers[0].material
+    assert np.signbit(s.layers[2].material.eps_model.value[0, 1].real)
+
+    boolean = json.loads(json.dumps(doc))
+    boolean["stack"]["layers"][0]["material"]["eps"]["value"][0][1][1] = 1
+    boolean["stack"]["layers"][2]["material"]["eps"]["value"][0][1][1] = True
+    with pytest.raises(StackParseError, match=r"stack\.layers\[2\]\.material\.eps\.value"):
+        parse_stack(boolean)
+
+    # array values, which == cannot compare as a whole, still parse
+    arrays = {"stack": {"z_min": 0.0, "layers": [
+        _layer(0.5, {"kind": "constant", "value": np.array(value, dtype=float)}),
+        _layer(0.5, {"kind": "constant", "value": np.array(value, dtype=float)})]}}
+    s = parse_stack(arrays)
+    assert np.array_equal(s.layers[1].material.eps_model.value,
+                          s.layers[0].material.eps_model.value)
+
+
+def test_shared_label_with_other_tensors_still_fails_in_phase_tensors():
+    # two documents under one label are decoded separately, and the phase
+    # split refuses them as before
+    from dtnstack import phase_tensors
+
+    value = [[[2, 0], [0, 0], [0, 0]],
+             [[0, 0], [3, 0], [0, 0]],
+             [[0, 0], [0, 0], [1.5, 0]]]
+    doc = {"stack": {"z_min": 0.0, "layers": [
+        _layer(0.5, {"kind": "constant", "value": ID3}),
+        _layer(0.5, {"kind": "constant", "value": value})]}}
+    s = parse_stack(doc)
+    assert s.layers[0].material is not s.layers[1].material
+    with pytest.raises(ParameterError, match=r"layers 0 and 1 share the label 'm'"):
+        phase_tensors(s, 0.5 + 1j)
