@@ -177,16 +177,19 @@ def _exp_scaled(B: np.ndarray, w: np.ndarray,
         band = np.searchsorted(_THETA, norm)
         big = band == len(_THETA)
         E = np.empty((N, w.size, m, m), dtype=complex)
-        if big.any():  # beyond degree 9: the scaled matrix on its own
-            n, j = np.nonzero(big)
-            X = B[n, base_of[j]] * w[j, None, None]
-            if not np.all(np.isfinite(X.view(float))):
-                raise NumericRangeError("exponent contains non-finite entries")
-            E[big] = _exp_each(X)[0]
-        if not big.all():
-            n, j = np.nonzero(~big)
-            E[~big] = _pade_shared(B.reshape(-1, m, m), base_norm.reshape(-1),
-                                   w[j], n * P + base_of[j], _slots(base_of)[j], band[~big])
+        n, j = np.nonzero(~big)
+        if n.size:
+            pade = _pade_shared(B.reshape(-1, m, m), base_norm.reshape(-1), w[j],
+                                n * P + base_of[j], _slots(base_of)[j], band[~big])
+            if n.size == big.size:  # every row, in C order of (N, L)
+                return pade.reshape(E.shape), norm
+            E[~big] = pade
+        # beyond degree 9: the scaled matrix on its own
+        n, j = np.nonzero(big)
+        X = B[n, base_of[j]] * w[j, None, None]
+        if not np.all(np.isfinite(X.view(float))):
+            raise NumericRangeError("exponent contains non-finite entries")
+        E[big] = _exp_each(X)[0]
     return E, norm
 
 
