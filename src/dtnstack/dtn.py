@@ -283,9 +283,10 @@ def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float
     mask = np.broadcast_to(certify, T.shape[:-2])
     if not mask.any():
         return L, ()
-    # passivity is certified per layer, so per-phase tensors are expanded
-    layers = slice(None) if phase_of_layer is None else phase_of_layer
-    pc = passivity_check(omega_eps[mask][:, layers], omega_mu[mask][:, layers])
+    we, wm = omega_eps[mask], omega_mu[mask]
+    if phase_of_layer is not None:  # passivity is certified per layer
+        we, wm = we[:, phase_of_layer], wm[:, phase_of_layer]
+    pc = passivity_check(we, wm)  # (entries, layers) arrays
     wds = check_well_defined(T[mask])
     im_mins = min_im_eig(L[mask][:, TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES])
     certs = []
