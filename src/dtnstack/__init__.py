@@ -55,8 +55,8 @@ from .herglotz import (
 from .linalg import (
     HermitianPair,
     hermitian_parts,
+    inverse,
     mat_exp,
-    solve,
     split_blocks,
 )
 from .report import PACKAGE_VERSION as __version__
@@ -67,7 +67,6 @@ from .transfer import (
     TransferMatrix,
     build_A,
     field_profile,
-    layer_propagator,
     normal_components,
     transfer,
 )

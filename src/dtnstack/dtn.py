@@ -27,8 +27,8 @@ from .linalg import (
     SINGULAR_CONDITION_LIMIT,
     condition_1norm,
     hermitian_parts,
+    inverse,
     min_im_eig,
-    solve,
     split_blocks,
 )
 from .stack import StackSpec
@@ -191,7 +191,7 @@ def _gamma_matrix(T: np.ndarray) -> np.ndarray:
     """``Gamma`` of a transfer matrix or a batch (..., 4, 4) of them."""
     T11, T12 = T[..., :2, :2], T[..., :2, 2:]
     T21, T22 = T[..., 2:, :2], T[..., 2:, 2:]
-    inv_T12 = solve(T12, np.eye(2, dtype=complex))
+    inv_T12 = inverse(T12)
     return np.block([[T22 @ inv_T12, T21 - T22 @ inv_T12 @ T11],
                      [inv_T12, -inv_T12 @ T11]])
 

@@ -23,12 +23,12 @@ __all__ = [
     "hermitian_parts",
     "min_im_eig",
     "mat_exp",
-    "solve",
+    "inverse",
     "condition_1norm",
     "split_blocks",
 ]
 
-#: 1-norm condition number beyond which solves are refused
+#: 1-norm condition number beyond which inversions are refused
 SINGULAR_CONDITION_LIMIT = 1e12
 
 #: most matrices a batched pass (a grid chunk, a field profile's anchors) hands
@@ -114,18 +114,6 @@ _THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
 _THETA13 = 5.371920351148152
 
 
-def _pade(A: np.ndarray, b: tuple) -> np.ndarray:
-    """Unscaled Padé approximant of degree below 13 of a batch of matrices."""
-    eye = np.eye(A.shape[-1], dtype=complex)
-    A2 = A @ A
-    powers = [eye, A2]  # the even powers A^0, A^2, ..., A^(m-1)
-    while len(powers) < len(b) // 2:
-        powers.append(powers[-1] @ A2)
-    U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
-    V = sum(b[2 * k] * P for k, P in enumerate(powers))
-    return np.linalg.solve(V - U, V + U)
-
-
 def _pade13(A: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """Degree-13 Padé approximant with per-matrix scaling and squaring."""
     b = _PADE[13]
@@ -143,21 +131,6 @@ def _pade13(A: np.ndarray, norm: np.ndarray) -> np.ndarray:
     for k in range(int(s.max(initial=0))):
         E = np.where((s > k)[..., None, None], E @ E, E)
     return E
-
-
-def _exp_each(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exponentials of a flat batch of matrices, each at its own degree, and
-    their 1-norms."""
-    E = np.empty_like(flat)
-    with np.errstate(all="ignore"):
-        norm = np.abs(flat).sum(axis=-2).max(axis=-1)
-        band = np.searchsorted(_THETA, norm)  # index into _DEGREES
-        for i in np.unique(band):
-            rows = np.flatnonzero(band == i)
-            m = _DEGREES[i]
-            E[rows] = (_pade13(flat[rows], norm[rows]) if m == 13
-                       else _pade(flat[rows], _PADE[m]))
-    return E, norm
 
 
 #: the Padé coefficients of degrees 3, 5, 7 and 9, one row per band, padded
@@ -184,12 +157,12 @@ def _exp_scaled(B: np.ndarray, w: np.ndarray,
             if n.size == big.size:  # every row, in C order of (N, L)
                 return pade.reshape(E.shape), norm
             E[~big] = pade
-        # beyond degree 9: the scaled matrix on its own
+        # beyond degree 9: the scaled matrix on its own, scaled and squared
         n, j = np.nonzero(big)
         X = B[n, base_of[j]] * w[j, None, None]
         if not np.all(np.isfinite(X.view(float))):
             raise NumericRangeError("exponent contains non-finite entries")
-        E[big] = _exp_each(X)[0]
+        E[big] = _pade13(X, np.abs(X).sum(axis=-2).max(axis=-1))
     return E, norm
 
 
@@ -209,11 +182,13 @@ def _pade_shared(B: np.ndarray, base_norm: np.ndarray, w: np.ndarray, base: np.n
     Each base is divided by a power of two, 2^e, which is exact: its 1-norm
     lies in [1/2, 1), so none of its powers overflows, and ``w 2^e`` carries
     the scale. Its even powers are formed once, up to the highest degree any
-    matrix of the call needs. Per scaled matrix, with ``c_i = b_i (w 2^e)^i``, the odd
-    sum S and the even sum V are taken elementwise in :func:`_pade`'s order,
-    broadcasting each base's powers over its slots, and ``U = B S`` is one
-    product. So a matrix's value does not depend on its batch, and a
-    power-of-two ``w`` gives the bits of :func:`_pade` on ``w B``.
+    matrix of the call needs. Per scaled matrix, with ``c_i = b_i (w 2^e)^i``,
+    the odd sum ``S = sum_k c_(2k+1) B^(2k)`` and the even sum
+    ``V = sum_k c_(2k) B^(2k)`` are taken elementwise, one term at a time in
+    increasing ``k`` (the identity's term first), broadcasting each base's
+    powers over its slots, and ``U = B S`` is one product. So a matrix's
+    value does not depend on its batch, and at a power-of-two ``w`` it is the
+    bits of the same sums over the powers of ``w B`` itself.
     """
     m = B.shape[-1]
     e = np.frexp(base_norm)[1]
@@ -256,9 +231,10 @@ def mat_exp(M, scales=None, base_of=None) -> np.ndarray:
     accuracy is about 1e-14 for 1-norms up to ~100. Raises
     :class:`NumericRangeError` if any result overflows.
 
-    With ``scales`` and ``base_of`` (the phase route), ``M`` holds bases
-    of shape (..., P, n, n) and the result is ``exp(scales[j] * M[...,
-    base_of[j], :, :])`` for each ``j``, shape (..., len(scales), n, n).
+    Without ``scales``, every matrix of ``M`` is its own base at scale 1.
+    With ``scales`` and ``base_of``, ``M`` holds bases of shape (..., P, n,
+    n) and the result is ``exp(scales[j] * M[..., base_of[j], :, :])`` for
+    each ``j``, shape (..., len(scales), n, n). Both go through one kernel.
     Exponentials of one base at many scales ``w`` share its even powers,
     since ``(w B)^k = w^k B^k`` (Al-Mohy & Higham, SIAM J. Sci. Comput.
     33:488, 2011): each base is divided by a power of two to a 1-norm in
@@ -266,22 +242,24 @@ def mat_exp(M, scales=None, base_of=None) -> np.ndarray:
     the highest degree any scaled matrix of the call needs. Each scaled
     matrix takes its degree from ``|w| ||B||_1`` and costs its
     coefficients ``b_i w^i``, one product and one solve; one beyond the
-    degree-9 bound is formed and exponentiated on its own, as above. Every
+    degree-9 bound is formed and goes through degree 13 on its own. Every
     result depends only on its own base and scale, whatever the batch.
     """
     A = as_cmatrix(M, "exponent", square=True, batch=True)
     if scales is None:
-        E, norm = _exp_each(A.reshape((-1,) + A.shape[-2:]))
+        B = A.reshape((1, -1) + A.shape[-2:])
+        w, idx = np.ones(B.shape[1]), np.arange(B.shape[1])
         shape = A.shape
     else:
         w = np.asarray(scales, dtype=float).reshape(-1)
         idx = np.asarray(base_of, dtype=int).reshape(-1)
         if A.ndim < 3 or idx.shape != w.shape:
-            raise DimensionError(f"the phase route needs bases (..., P, n, n) and one "
-                                 f"base per scale, got {A.shape}, {w.size} scales "
+            raise DimensionError(f"scaled exponentials need bases (..., P, n, n) and "
+                                 f"one base per scale, got {A.shape}, {w.size} scales "
                                  f"and {idx.size} bases")
-        E, norm = _exp_scaled(A.reshape((-1,) + A.shape[-3:]), w, idx)
-        shape = A.shape[:-3] + E.shape[-3:]
+        B = A.reshape((-1,) + A.shape[-3:])
+        shape = A.shape[:-3] + (w.size,) + A.shape[-2:]
+    E, norm = _exp_scaled(B, w, idx)
     if not np.all(np.isfinite(E.view(float))):
         raise NumericRangeError(f"mat_exp overflowed (input norm {np.max(norm):.3e})")
     return E.reshape(shape)
@@ -295,10 +273,12 @@ def condition_1norm(A):
     return float(c) if c.ndim == 0 else c
 
 
-def solve(A, B) -> np.ndarray:
-    """Solve ``A X = B`` for square ``A`` with a singularity guard.
+def inverse(A) -> np.ndarray:
+    """Inverse of square ``A`` (or of each matrix of a batch) with a
+    singularity guard.
 
-    ``A`` may carry leading batch axes; ``B`` broadcasts against it.
+    The 1-norm condition number is ``||A||_1 ||A^{-1}||_1`` from the same
+    inverse, so each matrix is inverted once.
 
     Raises
     ------
@@ -307,17 +287,21 @@ def solve(A, B) -> np.ndarray:
         ``1e12``. The error carries the worst condition estimate.
     """
     A = as_cmatrix(A, "A", square=True, batch=True)
-    Barr = np.asarray(B, dtype=complex)
-    cond = float(np.max(condition_1norm(A)))
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:  # exactly singular
+        cond = np.inf
+    else:
+        with np.errstate(all="ignore"):
+            c = (np.abs(A).sum(axis=-2).max(axis=-1)
+                 * np.abs(inv).sum(axis=-2).max(axis=-1))
+        cond = float(np.max(np.where(np.isfinite(c), c, np.inf)))
     if not cond <= SINGULAR_CONDITION_LIMIT:
         raise SingularMatrixError(
             f"matrix is singular to working precision (cond_1 ~ {cond:.3e})",
             condition=cond,
         )
-    try:
-        return np.linalg.solve(A, Barr)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise SingularMatrixError(f"singular system: {exc}") from exc
+    return inv
 
 
 def split_blocks(M) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import GeometryError, NumericRangeError, SingularMatrixError
 from .herglotz import eval_responses
-from .linalg import MAT_EXP_BATCH, as_cmatrix, mat_exp, solve
+from .linalg import MAT_EXP_BATCH, as_cmatrix, inverse, mat_exp
 from .stack import StackSpec, locate
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "resolve_layers",
     "build_A",
     "normal_components",
-    "layer_propagator",
     "propagate",
     "transfer",
     "field_profile",
@@ -165,16 +164,6 @@ def _normal_map(omega_eps, omega_mu, kappa, c: float) -> np.ndarray:
     return -Vop / voo[..., np.newaxis]
 
 
-def layer_propagator(A, dz) -> np.ndarray:
-    """Propagators ``exp(i J A dz)`` across homogeneous slabs of width ``dz``,
-    in one :func:`mat_exp` call; ``dz`` broadcasts against A's batch axes."""
-    A = as_cmatrix(A, "A", shape=(4, 4), batch=True)
-    dz = np.asarray(dz, dtype=float)[..., np.newaxis, np.newaxis]
-    with np.errstate(all="ignore"):  # an overflow is named by mat_exp
-        M = 1j * (J @ A) * dz
-    return mat_exp(M)
-
-
 def _ij(A: np.ndarray) -> np.ndarray:
     """``i J A`` by a signed row permutation: row ``r`` of ``J A`` is ``A``'s row
     ``3 - r`` with sign ``+, -, -, +``. Bitwise ``1j * (J @ A)`` except for the
@@ -192,13 +181,12 @@ def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
     defaults to the whole stack. The layers overlapping it, clipped to it,
     go through one :func:`mat_exp` call and multiply in layer order.
 
-    With ``phase_of_layer`` (the phase route) the tensors are per phase,
-    shape (..., P, 3, 3), and layer ``j`` takes phase ``phase_of_layer[j]``:
-    :func:`build_A` runs once per (entry, phase) in use, ``B_p = i J A_p``
-    comes from a signed row permutation, and the one :func:`mat_exp` call
-    takes the bases with each layer's width as its scale, so the layers of
-    one phase share its Padé powers. Without it every layer exponentiates
-    its own ``i J A_j dz_j`` (:func:`layer_propagator`).
+    With ``phase_of_layer`` the tensors are per phase, shape (..., P, 3, 3),
+    and layer ``j`` takes phase ``phase_of_layer[j]``; without it layer
+    ``j`` is phase ``j``. :func:`build_A` runs once per (entry, phase) in
+    use, ``B_p = i J A_p`` comes from a signed row permutation, and the one
+    :func:`mat_exp` call takes the bases with each layer's width as its
+    scale, so the layers of one phase share its Padé powers.
     """
     t = np.asarray(thickness, dtype=float).reshape(-1)
     if not np.all(np.isfinite(t) & (t > 0)):
@@ -215,13 +203,10 @@ def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
     keep = np.flatnonzero(widths > 0)
     T = np.broadcast_to(np.eye(4, dtype=complex), we.shape[:-3] + (4, 4)).copy()
     if keep.size:
-        if phase_of_layer is None:
-            A = build_A(we[..., keep, :, :], wm[..., keep, :, :], kappa, c)
-            P = layer_propagator(A, widths[keep])
-        else:
-            phases, base_of = np.unique(np.asarray(phase_of_layer)[keep], return_inverse=True)
-            A = build_A(we[..., phases, :, :], wm[..., phases, :, :], kappa, c)
-            P = mat_exp(_ij(A), widths[keep], base_of)
+        phase = keep if phase_of_layer is None else np.asarray(phase_of_layer)[keep]
+        phases, base_of = np.unique(phase, return_inverse=True)
+        A = build_A(we[..., phases, :, :], wm[..., phases, :, :], kappa, c)
+        P = mat_exp(_ij(A), widths[keep], base_of)
         for k in range(keep.size):
             T = P[..., k, :, :] @ T
     if not np.all(np.isfinite(T.view(float))):
@@ -250,7 +235,7 @@ def transfer(stack: StackSpec, kappa, omega, z0: float, z1: float) -> TransferMa
     T = propagate(*resolve_stack(stack, complex(omega)), kappa, stack.c,
                   stack.z_min, a, b)
     if z0 > z1:
-        T = solve(T, np.eye(4, dtype=complex))
+        T = inverse(T)
     return TransferMatrix(float(z0), float(z1), T)
 
 
@@ -286,8 +271,11 @@ def field_profile(stack: StackSpec, psi0, kappa, omega, zs,
     than samples), and their fields come from :func:`mat_exp` calls of at
     most ``MAT_EXP_BATCH`` matrices, each a step from the layer's left face
     or, in the layer holding ``z_ref``, from ``z_ref`` itself (no round trip
-    through the face, where growing and decaying modes would cancel). Each
-    sample is the degree-``K`` Taylor polynomial of ``exp(r M)`` applied to
+    through the face, where growing and decaying modes would cancel). Every
+    exponential is ``exp(w M)`` of one layer's ``M`` at some width ``w``, so
+    each :func:`mat_exp` call takes the layers' ``M`` as its bases: the face
+    steps, and the anchors of one chunk, share each layer's Padé powers.
+    Each sample is the degree-``K`` Taylor polynomial of ``exp(r M)`` applied to
     its anchor's field, ``r`` the distance to the anchor: ``|r| ||M||_1 <=
     R = 1/2`` and ``K = 16`` bound the truncation error by ``R^(K+1) /
     (K+1)! ~ 2e-20`` relative to the anchor's field. Samples are evaluated
@@ -333,15 +321,14 @@ def _anchor_stage(stack: StackSpec, psi0, kappa, omega, zs, z_ref: float | None)
     layer_of, offset = locate(stack, np.atleast_1d(np.asarray(zs, dtype=float)))
 
     t, we, wm = resolve_stack(stack, complex(omega))
-    A = build_A(we, wm, kappa, stack.c)
+    B = _ij(build_A(we, wm, kappa, stack.c))  # i J A, one base per layer
     # field at every layer's left face: whole-layer steps away from the layer
     # holding z_ref (backwards below it); that layer's own faces are steps
     # from z_ref itself
     n = t.size
     widths = np.where(np.arange(n) < j_ref, -t, t)
     widths[j_ref] = t[j_ref] - d_ref
-    steps = layer_propagator(np.concatenate([A, A[j_ref:j_ref + 1]]),
-                             np.concatenate([widths, [-d_ref]]))
+    steps = mat_exp(B, np.append(widths, -d_ref), np.append(np.arange(n), j_ref))
     left = np.empty((n, 4), dtype=complex)
     left[j_ref] = steps[n] @ psi0
     if j_ref + 1 < n:
@@ -352,12 +339,11 @@ def _anchor_stage(stack: StackSpec, psi0, kappa, omega, zs, z_ref: float | None)
         left[j] = steps[j] @ left[j + 1]
 
     # each sample is a Taylor step from the nearest anchor, a multiple of
-    # delta = 2R / ||M||_1 in its layer (M = i J A), in the unit x = (z - a) / delta:
-    # |x| <= 1/2 and ||M delta||_1 = 2R, so no coefficient outgrows psi(a)
-    M = 1j * (J @ A)
-    per_length = np.abs(M).sum(axis=-2).max(axis=-1) / (2.0 * _TAYLOR_R)  # 1 / delta
-    per_length[per_length == 0] = 1.0  # M = 0: any spacing is exact
-    Md = M / per_length[:, np.newaxis, np.newaxis]
+    # delta = 2R / ||B||_1 in its layer, in the unit x = (z - a) / delta:
+    # |x| <= 1/2 and ||B delta||_1 = 2R, so no coefficient outgrows psi(a)
+    per_length = np.abs(B).sum(axis=-2).max(axis=-1) / (2.0 * _TAYLOR_R)  # 1 / delta
+    per_length[per_length == 0] = 1.0  # B = 0: any spacing is exact
+    Md = B / per_length[:, np.newaxis, np.newaxis]
     # the key layer + i*multiple sorts by layer, then by multiple
     anchors, anchor_of = np.unique(layer_of + 1j * np.rint(offset * per_length[layer_of]),
                                    return_inverse=True)
@@ -367,7 +353,7 @@ def _anchor_stage(stack: StackSpec, psi0, kappa, omega, zs, z_ref: float | None)
 
     def coefficients():
         for chunk in _parts(np.arange(anchors.size)):
-            # coef[p] = (M delta)^p psi(a) / p! for each anchor a of the chunk;
+            # coef[p] = (B delta)^p psi(a) / p! for each anchor a of the chunk;
             # psi(a) steps from z_ref in its layer, from the left face elsewhere
             j = a_layer[chunk]
             at_ref = j == j_ref
@@ -375,7 +361,7 @@ def _anchor_stage(stack: StackSpec, psi0, kappa, omega, zs, z_ref: float | None)
             start[at_ref] = psi0
             dz = np.where(at_ref, a_offset[chunk] - d_ref, a_offset[chunk])
             coef = np.empty((_TAYLOR_K + 1, chunk.size, 4), dtype=complex)
-            coef[0] = (layer_propagator(A[j], dz) @ start[:, :, np.newaxis])[..., 0]
+            coef[0] = (mat_exp(B, dz, j) @ start[:, :, np.newaxis])[..., 0]
             Mj = Md[j]
             for p in range(1, _TAYLOR_K + 1):
                 coef[p] = (Mj @ coef[p - 1, :, :, np.newaxis])[..., 0] / p

@@ -23,7 +23,7 @@ from .analyticity import CR_TOL, _stencil_pass, scalar_sample
 from .dtn import DtnMap
 from .exceptions import ContractError, DomainError, ParameterError, SingularMatrixError
 from .herglotz import _PSD_RTOL, _require_hermitian
-from .linalg import as_cmatrix, condition_1norm, hermitian_parts, min_im_eig, solve
+from .linalg import as_cmatrix, condition_1norm, hermitian_parts, inverse, min_im_eig
 
 __all__ = [
     "phi",
@@ -171,7 +171,7 @@ def trajectory_coeffs(L0, tensors: Sequence) -> TrajectorySpec:
                                  f"L0 shape {L0.shape}")
         if min_im_eig(Lj) <= 0.0:
             raise DomainError(f"Im of tensors[{j}] must be positive definite")
-        G = solve(L0 - Lj, np.eye(L0.shape[0], dtype=complex))
+        G = inverse(L0 - Lj)
         A, B = hermitian_parts(G)
         if np.linalg.eigvalsh(B)[0] <= 0.0:
             raise ContractError(
@@ -184,7 +184,7 @@ def trajectory_point(spec: TrajectorySpec, s) -> tuple[np.ndarray, ...]:
     """Tensors ``L'_j(s) = L0 - (A_j + s B_j)^{-1}`` at ``Im s > 0``.
 
     ``s`` may be an array: each returned tensor then has leading shape
-    ``s.shape``, and all of them come from one guarded solve over the
+    ``s.shape``, and all of them come from one guarded inversion of the
     (parameter, tensor) batch of ``A_j + s B_j``.
     """
     sc = np.asarray(s, dtype=complex)
@@ -197,7 +197,7 @@ def trajectory_point(spec: TrajectorySpec, s) -> tuple[np.ndarray, ...]:
     A, B = (np.stack(M) for M in zip(*spec.coeffs))
     M = A + sc[..., None, None, None] * B
     try:
-        inv = solve(M, np.eye(spec.L0.shape[0], dtype=complex))
+        inv = inverse(M)
     except SingularMatrixError as exc:
         cond = condition_1norm(M).reshape(-1, len(spec.coeffs))
         raise SingularMatrixError(

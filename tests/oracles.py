@@ -2,10 +2,10 @@
 
 Nothing in this file may call the package's propagation or matrix-exponential
 routines: the transfer oracle integrates the tangential ODE with a hand-rolled
-fixed-step RK4 plus step doubling, the field oracle exponentiates in 50-digit
-``mpmath``, and the rearrangement oracle solves the defining linear system
-directly. Keeping these routes separate from the implementation is the whole
-point.
+fixed-step RK4 plus step doubling, the field and layer-product oracles
+exponentiate in 50-digit ``mpmath``, and the rearrangement oracle solves the
+defining linear system directly. Keeping these routes separate from the
+implementation is the whole point.
 """
 import numpy as np
 
@@ -77,6 +77,21 @@ def expm_action_oracle(M, v, ts, dps=50):
             y = mpmath.expm(Mm * mpmath.mpf(float(t))) * vm
             rows.append([complex(y[i]) for i in range(len(vm))])
     return np.array(rows)
+
+
+def expm_product_oracle(segments, dps=50):
+    """Ordered product of ``mpmath.expm(d i J A)`` at ``dps`` digits over
+    ``segments`` of ``(A, d)`` from the starting face (later ones multiply on
+    the left), on the exact double inputs, rounded once to complex128."""
+    import mpmath  # optional test dependency: callers importorskip it
+
+    with mpmath.workdps(dps):
+        iJ = mpmath.mpc(0, 1) * mpmath.matrix(J_ORACLE.tolist())
+        T = mpmath.eye(4)
+        for A, d in segments:
+            M = iJ * mpmath.matrix(np.asarray(A, dtype=complex).tolist())
+            T = mpmath.expm(M * mpmath.mpf(float(d))) * T
+        return np.array(T.tolist(), dtype=complex)
 
 
 def energy_midpoint_oracle(omega_eps, omega_mu, kappa, psi0, d, n, c=1.0, dps=50):

@@ -10,6 +10,7 @@ from dtnstack import (
     ParameterError,
     SingularMatrixError,
     StackSpec,
+    build_A,
     certify_point,
     cr_residual,
     dtn,
@@ -41,6 +42,7 @@ from generators import (
     rand_stack,
     vacuum_slab,
 )
+from oracles import expm_product_oracle
 
 
 # ----------------------------------------------------------- residual probes
@@ -296,30 +298,32 @@ def test_phase_tensors_rejects_real_frequency(rng):
 
 
 def test_phase_dtn_matches_expanded_layers_and_stack_route(rng):
-    # three layers over two phases; dyadic geometry makes the stack route's
-    # clipped layer widths exact, so all three routes see the same arrays
+    # three layers over two phases; every route goes through one kernel, so
+    # all three agree bit for bit, at dyadic widths and at others alike
     lower = rand_dispersive_material(rng, label="lower")
     upper = rand_constant_material(rng, label="upper")
-    s = StackSpec(z_min=-0.5, layers=(Layer(0.25, lower), Layer(0.5, upper),
-                                      Layer(0.75, lower)))
     om, kap = 0.4 + 0.9j, (0.3, -0.5)
-    labels, phase_of_layer, Z = phase_tensors(s, om)
-    assert labels == ["lower", "upper"] and phase_of_layer == [0, 1, 0]
+    for widths in ((0.25, 0.5, 0.75), (0.3, 0.7, 1.1)):
+        s = StackSpec(z_min=-0.5, layers=tuple(Layer(w, m) for w, m in
+                                               zip(widths, (lower, upper, lower))))
+        labels, phase_of_layer, Z = phase_tensors(s, om)
+        assert labels == ["lower", "upper"] and phase_of_layer == [0, 1, 0]
 
-    def expanded(Z):
-        return [(ly.thickness, Z[p], Z[2 + p]) for ly, p in zip(s.layers, phase_of_layer)]
+        def expanded(Z):
+            return [(ly.thickness, Z[p], Z[2 + p]) for ly, p in zip(s.layers, phase_of_layer)]
 
-    L = phase_dtn(s, kap, phase_of_layer, Z)
-    assert np.array_equal(L.matrix, dtn_from_tensors(expanded(Z), kap, s.c, s.z_min)[0].matrix)
-    assert np.array_equal(L.matrix, dtn(s, kap, om, s.z_min, s.z_max)[0].matrix)
+        L = phase_dtn(s, kap, phase_of_layer, Z)
+        assert np.array_equal(L.matrix,
+                              dtn_from_tensors(expanded(Z), kap, s.c, s.z_min)[0].matrix)
+        assert np.array_equal(L.matrix, dtn(s, kap, om, s.z_min, s.z_max)[0].matrix)
 
-    batched = list(Z)
-    batched[3] = Z[3] + 0.01j * np.arange(4)[:, None, None] * np.eye(3)
-    Lb = phase_dtn(s, kap, phase_of_layer, batched)
-    assert Lb.matrix.shape == (4, 6, 6)
-    assert np.array_equal(Lb.matrix,
-                          dtn_from_tensors(expanded(batched), kap, s.c, s.z_min)[0].matrix)
-    assert np.array_equal(Lb.matrix[0], L.matrix)
+        batched = list(Z)
+        batched[3] = Z[3] + 0.01j * np.arange(4)[:, None, None] * np.eye(3)
+        Lb = phase_dtn(s, kap, phase_of_layer, batched)
+        assert Lb.matrix.shape == (4, 6, 6)
+        assert np.array_equal(Lb.matrix,
+                              dtn_from_tensors(expanded(batched), kap, s.c, s.z_min)[0].matrix)
+        assert np.array_equal(Lb.matrix[0], L.matrix)
 
 
 def _phase_stack(rng, n_phases, n_layers):
@@ -330,31 +334,31 @@ def _phase_stack(rng, n_phases, n_layers):
         Layer(float(rng.uniform(0.05, 0.2)), mats[j % n_phases]) for j in range(n_layers)))
 
 
-def _transfer_both_routes(stack, kappa, phase_of_layer, Z):
-    """T from the phase route and from the layer-expanded route, where the
-    tensors are expanded to layers and every layer exponentiates its own
-    i J A_j dz_j."""
+def _transfer_and_oracle(stack, kappa, phase_of_layer, Z):
+    """T from the phase route, and the ordered product of the 50-digit
+    exponentials exp(d_j i J A_j) of the same double A_j."""
     P, p = len(Z) // 2, np.asarray(phase_of_layer)
     S = np.stack(np.broadcast_arrays(*Z), axis=-3)
-    args = ([ly.thickness for ly in stack.layers], kappa, stack.c, stack.z_min)
-    phase = propagate(args[0], S[..., :P, :, :], S[..., P:, :, :], *args[1:],
-                      phase_of_layer=p)
-    layers = propagate(args[0], S[..., p, :, :], S[..., P + p, :, :], *args[1:])
-    return phase, layers
+    t = [ly.thickness for ly in stack.layers]
+    T = propagate(t, S[..., :P, :, :], S[..., P:, :, :], kappa, stack.c, stack.z_min,
+                  phase_of_layer=p)
+    A = build_A(S[..., :P, :, :], S[..., P:, :, :], kappa, stack.c)
+    return T, expm_product_oracle([(A[q], d) for d, q in zip(t, p)])
 
 
 @pytest.mark.parametrize("n_phases, n_layers", [(2, 7), (3, 9)])
 def test_phase_route_matches_layer_expanded_route(rng, n_phases, n_layers):
     # the phase route shares each phase's system matrix and Padé powers; the
-    # layer-expanded route exponentiates every layer on its own. T agrees to
-    # rounding; Lambda = f(T) amplifies that by up to cond(T) (seen: 1.1e-16
-    # cond(T) over 240 such stacks), so it is held to 1e-14 while cond(T) <= 10
+    # oracle exponentiates every layer on its own in 50 digits. T agrees to
+    # rounding; Lambda = f(T) amplifies that by up to cond(T) (seen: 9.3e-17
+    # cond(T) over 120 such stacks), so it is held to 1e-14 while cond(T) <= 10
+    pytest.importorskip("mpmath")
     for _ in range(4):
         s = _phase_stack(rng, n_phases, n_layers)
         om = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 1.5))
         kap = tuple(rng.uniform(-1.0, 1.0, size=2))
         _, phase_of_layer, Z = phase_tensors(s, om)
-        T, ref_T = _transfer_both_routes(s, kap, phase_of_layer, Z)
+        T, ref_T = _transfer_and_oracle(s, kap, phase_of_layer, Z)
         assert np.linalg.norm(T - ref_T) <= 1e-14 * np.linalg.norm(ref_T)
         L = phase_dtn(s, kap, phase_of_layer, Z).matrix
         assert np.array_equal(L, _lambda_matrix(_gamma_matrix(T)))

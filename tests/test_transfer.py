@@ -14,13 +14,12 @@ from dtnstack import (
     StackSpec,
     build_A,
     field_profile,
-    layer_propagator,
     locate,
     make_drude,
     normal_components,
     transfer,
 )
-from dtnstack.transfer import J, resolve_layers, resolve_stack
+from dtnstack.transfer import J, propagate, resolve_layers, resolve_stack
 from generators import (
     rand_constant_material,
     rand_drude_material,
@@ -128,9 +127,10 @@ def test_build_a_requires_invertible_normal_block():
 
 
 def test_propagator_rotation_closed_form():
+    # omega*eps = omega*mu = omega I at kappa = 0 give A = omega I
     omega, L = 1.2, 0.8
-    A = omega * np.eye(4, dtype=complex)
-    P = layer_propagator(A, L)
+    W = omega * np.eye(3, dtype=complex)[None]
+    P = propagate([L], W, W, (0.0, 0.0))
     th = omega * L
     assert np.allclose(P, np.cos(th) * np.eye(4) + 1j * np.sin(th) * J,
                        atol=1e-14)
@@ -139,8 +139,8 @@ def test_propagator_rotation_closed_form():
 def test_propagator_imaginary_frequency_closed_form():
     # omega = i*a turns the rotation into cosh(aL) I - sinh(aL) J.
     a, L = 1.0, 2.0
-    A = (1j * a) * np.eye(4, dtype=complex)
-    P = layer_propagator(A, L)
+    W = (1j * a) * np.eye(3, dtype=complex)[None]
+    P = propagate([L], W, W, (0.0, 0.0))
     expected = np.cosh(a * L) * np.eye(4) - np.sinh(a * L) * J
     assert np.allclose(P, expected, atol=1e-12)
 
@@ -189,8 +189,8 @@ def test_transfer_layer_ordering(rng):
     s = StackSpec(z_min=0.0, layers=(Layer(0.6, m1), Layer(0.9, m2)))
     kap, om = (0.4, -1.0), 0.7 + 0.5j
     tensors = resolve_layers(s, om)
-    P1 = layer_propagator(build_A(tensors[0][1], tensors[0][2], kap), 0.6)
-    P2 = layer_propagator(build_A(tensors[1][1], tensors[1][2], kap), 0.9)
+    P1 = propagate([0.6], tensors[0][1][None], tensors[0][2][None], kap)
+    P2 = propagate([0.9], tensors[1][1][None], tensors[1][2][None], kap)
     T = transfer(s, kap, om, 0.0, 1.5).matrix
     assert np.allclose(T, P2 @ P1, rtol=1e-12, atol=1e-13)
     assert not np.allclose(T, P1 @ P2, atol=1e-6)  # order actually matters
