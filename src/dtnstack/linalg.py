@@ -94,9 +94,10 @@ def min_im_eig(M) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_parts(M).imag)[..., 0]
 
 
-#: Padé coefficients by degree, and the largest 1-norm at which each unscaled
-#: approximant below degree 13 is accurate to double precision; degree 13
-#: scales by a power of two down to its own bound (Higham 2005, Table 2.3)
+#: Padé coefficients by degree, and the largest 1-norm at which each
+#: approximant is accurate to double precision (Higham 2005, Table 2.3); a
+#: matrix beyond the degree-9 bound takes degree 13 after dividing by a power
+#: of two down to its bound, and is squared back
 _PADE = {
     3: (120.0, 60.0, 12.0, 1.0),
     5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
@@ -113,57 +114,9 @@ _THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
           2.097847961257068)
 _THETA13 = 5.371920351148152
 
-
-def _pade13(A: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """Degree-13 Padé approximant with per-matrix scaling and squaring."""
-    b = _PADE[13]
-    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
-    A = A * np.exp2(-s)[..., None, None]
-    eye = np.eye(A.shape[-1], dtype=complex)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    E = np.linalg.solve(V - U, V + U)
-    for k in range(int(s.max(initial=0))):
-        E = np.where((s > k)[..., None, None], E @ E, E)
-    return E
-
-
-#: the Padé coefficients of degrees 3, 5, 7 and 9, one row per band, padded
-#: with zeros to degree 9
-_PADE_BANDS = np.array([_PADE[m] + (0.0,) * (9 - m) for m in _DEGREES[:-1]])
-
-
-def _exp_scaled(B: np.ndarray, w: np.ndarray,
-                base_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``exp(w[j] B[n, base_of[j]])`` for bases ``B`` of shape (N, P, m, m),
-    shape (N, L, m, m), and the 1-norms of the scaled matrices (see
-    :func:`mat_exp`)."""
-    N, P, m = B.shape[0], B.shape[1], B.shape[-1]
-    with np.errstate(all="ignore"):
-        base_norm = np.abs(B).sum(axis=-2).max(axis=-1)
-        norm = np.abs(w) * base_norm[:, base_of]
-        band = np.searchsorted(_THETA, norm)
-        big = band == len(_THETA)
-        E = np.empty((N, w.size, m, m), dtype=complex)
-        n, j = np.nonzero(~big)
-        if n.size:
-            pade = _pade_shared(B.reshape(-1, m, m), base_norm.reshape(-1), w[j],
-                                n * P + base_of[j], _slots(base_of)[j], band[~big])
-            if n.size == big.size:  # every row, in C order of (N, L)
-                return pade.reshape(E.shape), norm
-            E[~big] = pade
-        # beyond degree 9: the scaled matrix on its own, scaled and squared
-        n, j = np.nonzero(big)
-        X = B[n, base_of[j]] * w[j, None, None]
-        if not np.all(np.isfinite(X.view(float))):
-            raise NumericRangeError("exponent contains non-finite entries")
-        E[big] = _pade13(X, np.abs(X).sum(axis=-2).max(axis=-1))
-    return E, norm
+#: the Padé coefficients of each degree, one row per band, padded with zeros
+#: to degree 13
+_PADE_BANDS = np.array([_PADE[m] + (0.0,) * (13 - m) for m in _DEGREES])
 
 
 def _slots(base_of: np.ndarray) -> np.ndarray:
@@ -174,50 +127,67 @@ def _slots(base_of: np.ndarray) -> np.ndarray:
     return slot
 
 
-def _pade_shared(B: np.ndarray, base_norm: np.ndarray, w: np.ndarray, base: np.ndarray,
-                 slot: np.ndarray, band: np.ndarray) -> np.ndarray:
-    """Padé approximants of degree below 13 of ``w[r] B[base[r]]``, each at
-    its band's degree, shape (R, m, m), the ``slot[r]``-th of its base.
+def _exp_scaled(B: np.ndarray, w: np.ndarray,
+                base_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(w[j] B[n, base_of[j]])`` for bases ``B`` of shape (N, P, m, m),
+    shape (N, L, m, m), and the 1-norms ``|w[j]| ||B[n, base_of[j]]||_1``
+    of the scaled matrices (see :func:`mat_exp`).
 
     Each base is divided by a power of two, 2^e, which is exact: its 1-norm
-    lies in [1/2, 1), so none of its powers overflows, and ``w 2^e`` carries
-    the scale. Its even powers are formed once, up to the highest degree any
-    matrix of the call needs. Per scaled matrix, with ``c_i = b_i (w 2^e)^i``,
-    the odd sum ``S = sum_k c_(2k+1) B^(2k)`` and the even sum
-    ``V = sum_k c_(2k) B^(2k)`` are taken elementwise, one term at a time in
-    increasing ``k`` (the identity's term first), broadcasting each base's
-    powers over its slots, and ``U = B S`` is one product. So a matrix's
-    value does not depend on its batch, and at a power-of-two ``w`` it is the
-    bits of the same sums over the powers of ``w B`` itself.
+    lies in [1/2, 1), so none of its powers overflows, and the scale carries
+    2^e. Its even powers are formed once, up to the highest degree any
+    scaled matrix of the call needs. A scaled matrix below the degree-9
+    bound takes the lowest degree whose bound covers its 1-norm, with
+    ``s = 0``; one beyond it takes degree 13 with ``s`` the least power of
+    two that brings its 1-norm to the degree-13 bound. Per scaled matrix,
+    with ``c_i = b_i (w 2^(e-s))^i``, the odd sum
+    ``S = sum_k c_(2k+1) B^(2k)`` and the even sum ``V = sum_k c_(2k) B^(2k)``
+    are taken elementwise, one term at a time in increasing ``k`` (the
+    identity's term first), broadcasting each base's powers over its slots;
+    ``U = B S`` is one product and ``(V - U)^{-1} (V + U)`` one solve over
+    the rows in use, and each result is squared ``s`` times. So a matrix's
+    value does not depend on its batch, and at a power-of-two ``w`` it is
+    the bits of the same sums over the powers of ``w B`` itself.
     """
-    m = B.shape[-1]
-    e = np.frexp(base_norm)[1]
-    Bs = np.ldexp(B.view(float), -e[:, None, None]).view(complex)
-    B2 = Bs @ Bs
-    powers = [B2]
-    while 2 * len(powers) < _DEGREES[band.max()] - 1:
-        powers.append(powers[-1] @ B2)
-    c = np.zeros((B.shape[0], int(slot.max()) + 1, _PADE_BANDS.shape[1]))
-    c[base, slot] = _PADE_BANDS[band] * np.vander(np.ldexp(w, e[base]), c.shape[-1],
-                                                  increasing=True)
-    cf = c[..., np.newaxis, np.newaxis]
-    G = [P.view(float)[:, np.newaxis] for P in powers]
-    S, V = cf[:, :, 3] * G[0], cf[:, :, 2] * G[0]
-    d = np.arange(m)
-    S.view(complex)[:, :, d, d] += c[:, :, 1, np.newaxis]  # the identity's term comes first
-    V.view(complex)[:, :, d, d] += c[:, :, 0, np.newaxis]
-    for i in range(1, len(powers)):
-        S += cf[:, :, 2 * i + 3] * G[i]
-        V += cf[:, :, 2 * i + 2] * G[i]
-    S, V = S.view(complex), V.view(complex)
-    U = Bs[:, np.newaxis] @ S
-    D = V - U
-    if base.size < D.shape[0] * D.shape[1]:
-        unused = np.ones(D.shape[:2], dtype=bool)
-        unused[base, slot] = False
-        D[unused] = np.eye(m)  # an unused slot solves harmlessly
-    V += U
-    return np.linalg.solve(D, V)[base, slot]
+    N, P, m = B.shape[0], B.shape[1], B.shape[-1]
+    base = (np.arange(N)[:, None] * P + base_of).reshape(-1)
+    slot = np.tile(_slots(base_of), N)
+    w = np.tile(w, N)
+    with np.errstate(all="ignore"):
+        base_norm = np.abs(B).sum(axis=-2).max(axis=-1).reshape(-1)
+        norm = np.abs(w) * base_norm[base]
+        if not np.all(np.isfinite(norm)):
+            raise NumericRangeError("exponent contains non-finite entries")
+        if not norm.size * m:
+            return np.empty((N, base_of.size, m, m), dtype=complex), norm
+        band = np.searchsorted(_THETA, norm)
+        s = np.where(band == len(_THETA),
+                     np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)), 0).astype(int)
+        e = np.frexp(base_norm)[1]
+        Bs = np.ldexp(B.reshape(-1, m, m).view(float), -e[:, None, None]).view(complex)
+        B2 = Bs @ Bs
+        powers = [B2]
+        while 2 * len(powers) < _DEGREES[band.max()] - 1:
+            powers.append(powers[-1] @ B2)
+        c = np.zeros((Bs.shape[0], int(slot.max()) + 1, _PADE_BANDS.shape[1]))
+        c[base, slot] = _PADE_BANDS[band] * np.vander(np.ldexp(w, e[base] - s), c.shape[-1],
+                                                      increasing=True)
+        cf = c[..., np.newaxis, np.newaxis]
+        G = [Bk.view(float)[:, np.newaxis] for Bk in powers]
+        S, V = cf[:, :, 3] * G[0], cf[:, :, 2] * G[0]
+        d = np.arange(m)
+        S.view(complex)[:, :, d, d] += c[:, :, 1, np.newaxis]  # the identity's term comes first
+        V.view(complex)[:, :, d, d] += c[:, :, 0, np.newaxis]
+        for i in range(1, len(powers)):
+            S += cf[:, :, 2 * i + 3] * G[i]
+            V += cf[:, :, 2 * i + 2] * G[i]
+        V, U = V.view(complex)[base, slot], (Bs[:, np.newaxis] @ S.view(complex))[base, slot]
+        D = V - U
+        V += U
+        E = np.linalg.solve(D, V)
+        for k in range(s.max()):
+            E = np.where((s > k)[:, None, None], E @ E, E)
+    return E.reshape(N, base_of.size, m, m), norm
 
 
 def mat_exp(M, scales=None, base_of=None) -> np.ndarray:
@@ -242,8 +212,11 @@ def mat_exp(M, scales=None, base_of=None) -> np.ndarray:
     the highest degree any scaled matrix of the call needs. Each scaled
     matrix takes its degree from ``|w| ||B||_1`` and costs its
     coefficients ``b_i w^i``, one product and one solve; one beyond the
-    degree-9 bound is formed and goes through degree 13 on its own. Every
-    result depends only on its own base and scale, whatever the batch.
+    degree-9 bound takes degree 13 from the same powers, at its own
+    power-of-two scaling, and is squared back. Every result depends only
+    on its own base and scale, whatever the batch. Raises
+    :class:`DimensionError` unless ``base_of`` holds one integer in
+    ``[0, P)`` per scale.
     """
     A = as_cmatrix(M, "exponent", square=True, batch=True)
     if scales is None:
@@ -252,11 +225,16 @@ def mat_exp(M, scales=None, base_of=None) -> np.ndarray:
         shape = A.shape
     else:
         w = np.asarray(scales, dtype=float).reshape(-1)
-        idx = np.asarray(base_of, dtype=int).reshape(-1)
+        idx = np.asarray(base_of).reshape(-1)
         if A.ndim < 3 or idx.shape != w.shape:
             raise DimensionError(f"scaled exponentials need bases (..., P, n, n) and "
                                  f"one base per scale, got {A.shape}, {w.size} scales "
                                  f"and {idx.size} bases")
+        if idx.size and not (idx.dtype.kind in "iu" and idx.min() >= 0
+                             and idx.max() < A.shape[-3]):
+            raise DimensionError(f"base_of must hold integers in [0, {A.shape[-3]}), "
+                                 f"got {idx}")
+        idx = idx.astype(int)
         B = A.reshape((-1,) + A.shape[-3:])
         shape = A.shape[:-3] + (w.size,) + A.shape[-2:]
     E, norm = _exp_scaled(B, w, idx)

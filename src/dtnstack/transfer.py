@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import GeometryError, NumericRangeError, SingularMatrixError
+from .exceptions import GeometryError, NumericRangeError, ParameterError, SingularMatrixError
 from .herglotz import eval_responses
 from .linalg import MAT_EXP_BATCH, as_cmatrix, inverse, mat_exp
 from .stack import StackSpec, locate
@@ -182,7 +182,8 @@ def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
     go through one :func:`mat_exp` call and multiply in layer order.
 
     With ``phase_of_layer`` the tensors are per phase, shape (..., P, 3, 3),
-    and layer ``j`` takes phase ``phase_of_layer[j]``; without it layer
+    and layer ``j`` takes phase ``phase_of_layer[j]``, one integer in
+    ``[0, P)`` per layer (else :class:`ParameterError`); without it layer
     ``j`` is phase ``j``. :func:`build_A` runs once per (entry, phase) in
     use, ``B_p = i J A_p`` comes from a signed row permutation, and the one
     :func:`mat_exp` call takes the bases with each layer's width as its
@@ -192,6 +193,14 @@ def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
     if not np.all(np.isfinite(t) & (t > 0)):
         raise GeometryError(f"layer thicknesses must be > 0, got {t}")
     we, wm = np.asarray(omega_eps, dtype=complex), np.asarray(omega_mu, dtype=complex)
+    if phase_of_layer is not None:
+        phase_of_layer = np.asarray(phase_of_layer)
+        if phase_of_layer.shape != t.shape or t.size and not (
+                phase_of_layer.dtype.kind in "iu" and phase_of_layer.min() >= 0
+                and phase_of_layer.max() < we.shape[-3]):
+            raise ParameterError(f"phase_of_layer must give each of the {t.size} layers "
+                                 f"an integer phase in [0, {we.shape[-3]}), "
+                                 f"got {phase_of_layer}")
     if z0 is None and z1 is None:
         widths = t
     else:
@@ -203,7 +212,7 @@ def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
     keep = np.flatnonzero(widths > 0)
     T = np.broadcast_to(np.eye(4, dtype=complex), we.shape[:-3] + (4, 4)).copy()
     if keep.size:
-        phase = keep if phase_of_layer is None else np.asarray(phase_of_layer)[keep]
+        phase = keep if phase_of_layer is None else phase_of_layer[keep]
         phases, base_of = np.unique(phase, return_inverse=True)
         A = build_A(we[..., phases, :, :], wm[..., phases, :, :], kappa, c)
         P = mat_exp(_ij(A), widths[keep], base_of)

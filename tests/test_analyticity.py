@@ -17,6 +17,7 @@ from dtnstack import (
     dtn_from_tensors,
     herglotz_certify,
     make_drude,
+    make_sandwich,
     omega_grid_points,
     scalar_sample,
     slice_analyticity,
@@ -324,6 +325,18 @@ def test_phase_dtn_matches_expanded_layers_and_stack_route(rng):
         assert np.array_equal(Lb.matrix,
                               dtn_from_tensors(expanded(batched), kap, s.c, s.z_min)[0].matrix)
         assert np.array_equal(Lb.matrix[0], L.matrix)
+
+
+def test_phase_dtn_rejects_a_phase_index_per_layer_out_of_range(rng):
+    # on three layers, a fourth entry used to be ignored, -1 to wrap to the
+    # last phase and a missing entry to escape as an IndexError
+    s = make_sandwich(d=1.0, d2=0.25, outer=rand_constant_material(rng, label="outer"),
+                      core=rand_dispersive_material(rng, label="core"))
+    labels, phase_of_layer, Z = phase_tensors(s, 0.4 + 0.9j)
+    assert phase_of_layer == [0, 1, 0]
+    for bad in ([0, 1, 0, 1], [0, -1, 0], [0, 1], [0, 2, 0], [0.0, 1.0, 0.0]):
+        with pytest.raises(ParameterError, match="phase_of_layer"):
+            phase_dtn(s, (0.3, -0.5), bad, Z)
 
 
 def _phase_stack(rng, n_phases, n_layers):

@@ -117,14 +117,15 @@ def test_mat_exp_batch_matches_single_calls(rng):
 
 def test_mat_exp_scaled_matches_high_precision_oracle():
     # exp(w B) from shared powers of one base, at scales w whose 1-norms
-    # straddle every degree's bound (3 to 13), against the 50-digit action
-    # of the same double inputs
+    # straddle every degree's bound (3 to 13) and reach about 100 (degree 13
+    # squared up to 5 times), against the 50-digit action of the same double
+    # inputs
     pytest.importorskip("mpmath")
     from oracles import expm_action_oracle
 
     rng = np.random.default_rng(7212)
     B = _with_norm(rng, 1.0)
-    w = np.array(BAND_EDGE_NORMS)
+    w = np.array([*BAND_EDGE_NORMS, *np.geomspace(8.0, 100.0, 6)])
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     E = mat_exp(B[None], w, np.zeros(w.size, dtype=int))
     ref = expm_action_oracle(B, v, w)
@@ -153,11 +154,11 @@ def test_mat_exp_scaled_batch_matches_single_calls(rng):
 def test_mat_exp_scaled_power_of_two_scales_match_bitwise(rng):
     # scaling by a power of two is exact, so the shared powers and the
     # coefficients b_i w^i reproduce exp(w B) of the per-matrix route bit for
-    # bit
-    norms = np.array([0.01, 0.2, 0.7, 1.5, 2.0])  # degrees 3 to 9 at w = 1
+    # bit, at degree 13 with its squarings too
+    norms = np.array([0.01, 0.2, 0.7, 1.5, 2.0, 4.0, 40.0])  # degrees 3 to 13 at w = 1
     B = _with_norm(rng, norms, norms.shape)
-    w = np.array([0.25, 0.5, 1.0, 0.5, 0.125, 1.0])
-    base_of = np.array([0, 1, 2, 3, 4, 4])
+    w = np.array([0.25, 0.5, 1.0, 0.5, 0.125, 1.0, 4.0, 0.5, 2.0, 4.0, 0.5, 2.0])
+    base_of = np.array([0, 1, 2, 3, 4, 4, 5, 5, 5, 6, 6, 6])
     E = mat_exp(B, w, base_of)
     assert np.array_equal(E, mat_exp(B[base_of] * w[:, None, None]))
 
@@ -181,6 +182,16 @@ def test_mat_exp_scaled_overflow_keeps_its_messages():
         mat_exp(B * 1e300, [1e10], [0])
     with pytest.raises(DimensionError):
         mat_exp(B, [1.0, 2.0], [0])
+
+
+def test_mat_exp_scaled_rejects_base_indices_outside_the_bases(rng):
+    # a negative index used to wrap to the last base, a fractional one to
+    # truncate to base 0, and one past the end to escape as an IndexError
+    B = _with_norm(rng, np.ones(2), (2,))
+    for base_of in ([-1], [0.7], [2], [True]):
+        with pytest.raises(DimensionError, match="base_of"):
+            mat_exp(B, [1.0], base_of)
+    assert mat_exp(B, [], []).shape == (0, 4, 4)
 
 
 def test_as_cmatrix_accepts_a_strided_last_axis(rng):
