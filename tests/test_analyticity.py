@@ -328,8 +328,8 @@ def test_phase_dtn_matches_expanded_layers_and_stack_route(rng):
 
 
 def test_phase_dtn_rejects_a_phase_index_per_layer_out_of_range(rng):
-    # on three layers, a fourth entry used to be ignored, -1 to wrap to the
-    # last phase and a missing entry to escape as an IndexError
+    # on three layers, a fourth entry must not be ignored, -1 must not wrap
+    # to the last phase, and a missing entry is no bare IndexError
     s = make_sandwich(d=1.0, d2=0.25, outer=rand_constant_material(rng, label="outer"),
                       core=rand_dispersive_material(rng, label="core"))
     labels, phase_of_layer, Z = phase_tensors(s, 0.4 + 0.9j)

@@ -185,8 +185,8 @@ def test_mat_exp_scaled_overflow_keeps_its_messages():
 
 
 def test_mat_exp_scaled_rejects_base_indices_outside_the_bases(rng):
-    # a negative index used to wrap to the last base, a fractional one to
-    # truncate to base 0, and one past the end to escape as an IndexError
+    # a negative index must not wrap to the last base, a fractional one must
+    # not truncate to base 0, and one past the end is no bare IndexError
     B = _with_norm(rng, np.ones(2), (2,))
     for base_of in ([-1], [0.7], [2], [True]):
         with pytest.raises(DimensionError, match="base_of"):
