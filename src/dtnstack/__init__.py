@@ -68,7 +68,6 @@ from .transfer import (
     build_A,
     field_profile,
     normal_components,
-    transfer,
 )
 from .tubular import (
     TrajectorySpec,

@@ -125,13 +125,15 @@ class PointRecord(NamedTuple):
     compression: np.ndarray
 
 
-def _stencil_pass(points, step: float | None, per_call: int, evaluate: Callable):
+def _stencil_pass(points, step: float | None, layers: int, evaluate: Callable):
     """``(centre value, worst CR residual, *extras)`` of each point in turn,
-    from one ``evaluate(stencils)`` per chunk of at most ``per_call`` points'
-    stencils, shape (k, 5), which returns values of leading shape (k, 5) and
-    extras of k entries. A chunk raising :class:`SingularMatrixError` or
-    :class:`NumericRangeError` is re-run point by point, so its error is the
-    first failing point's own."""
+    from one ``evaluate(stencils)`` per chunk of k points' stencils, shape
+    (k, len(CR_OFFSETS)), which returns values of that leading shape and
+    extras of k entries. ``evaluate`` propagates stacks of ``layers`` layers;
+    k keeps a chunk within :data:`MAT_EXP_BATCH` layer matrices (or is 1). A
+    chunk raising :class:`SingularMatrixError` or :class:`NumericRangeError`
+    is re-run point by point, so its error is the first failing point's own."""
+    per_call = max(1, MAT_EXP_BATCH // (len(CR_OFFSETS) * layers))
     stencils, steps = map(np.array, zip(*(_stencil(complex(z), step) for z in points)))
     for start in range(0, len(stencils), per_call):
         part = slice(start, start + per_call)
@@ -150,8 +152,8 @@ def _certified_points(stack: StackSpec, kappa, grid: Sequence[complex],
                       z0: float | None, z1: float | None, step: float | None):
     """``(PointRecord, DtnCertificate)`` of each grid point in turn, after the
     ``Im omega > 0`` and real-``kappa`` gates of every point. Each
-    :func:`_stencil_pass` chunk, at most :data:`MAT_EXP_BATCH` frequency-layer
-    pairs (or one point), is resolved, propagated and certified in one pass."""
+    :func:`_stencil_pass` chunk is resolved, propagated and certified in one
+    pass."""
     z0 = stack.z_min if z0 is None else float(z0)
     z1 = stack.z_max if z1 is None else float(z1)
     omegas, k = _certified_inputs(kappa, grid, z0, z1)
@@ -161,9 +163,8 @@ def _certified_points(stack: StackSpec, kappa, grid: Sequence[complex],
                                   stack.z_min, z0, z1, certify=CR_OFFSETS == 0)
         return L[..., TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES], certs
 
-    chunk = max(1, MAT_EXP_BATCH // (len(CR_OFFSETS) * len(stack.layers)))
-    for w, (centre, worst, cert) in zip(omegas.tolist(),
-                                         _stencil_pass(omegas, step, chunk, evaluate)):
+    for w, (centre, worst, cert) in zip(
+            omegas.tolist(), _stencil_pass(omegas, step, len(stack.layers), evaluate)):
         yield PointRecord(w, cert.im_min_eig, worst,
                           cert.well_defined.condition_T12, centre), cert
 
@@ -175,9 +176,9 @@ def certify_point(stack: StackSpec, kappa, omega, z0: float | None = None,
 
     Records the smallest eigenvalue of ``Im`` of the tangential compression,
     the worst CR residual in frequency over the compression entries (shared
-    4-point stencil of width ``step``, default :func:`default_cr_step`,
-    kept inside the upper half-plane), and the condition estimate of the
-    pivotal transfer block.
+    :data:`CR_OFFSETS` stencil of width ``step``, default
+    :func:`default_cr_step`, kept inside the upper half-plane), and the
+    condition estimate of the pivotal transfer block.
     """
     return next(_certified_points(stack, kappa, [omega], z0, z1, step))
 
@@ -204,8 +205,8 @@ def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
     eigenvalue of ``Im`` on the tangential compression, every CR residual is
     below ``cr_tol``, all layers are passive at every point, and no
     theorem-contradicting anomaly was recorded. Each chunk of grid points,
-    with the four stencil neighbours of each, is one resolve, propagate and
-    certify pass. ``step`` overrides the per-point default CR stencil width.
+    with the stencil (:data:`CR_OFFSETS`) of each, is one resolve, propagate
+    and certify pass. ``step`` overrides the per-point default CR stencil width.
     A response model that is not finite anywhere in a chunk raises before
     any point of that chunk is propagated, so it is reported ahead of a
     propagation error at an earlier point of the chunk; propagation and
@@ -213,19 +214,14 @@ def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
     """
     if not grid:
         raise ParameterError("grid must be nonempty")
-    points, anomalies = [], []
-    all_passive = True
-    for record, cert in _certified_points(stack, kappa, grid, z0, z1, step):
-        points.append(record)
-        all_passive = all_passive and cert.passive
-        anomalies.extend(cert.anomalies)
+    points, certs = zip(*_certified_points(stack, kappa, grid, z0, z1, step))
+    anomalies = tuple(a for cert in certs for a in cert.anomalies)
     min_im = min(p.min_im_eig for p in points)
     worst_cr = max(p.worst_cr for p in points)
-    passed = bool(all_passive and min_im > 0.0 and worst_cr < cr_tol
-                  and not anomalies)
+    passed = bool(all(cert.passive for cert in certs) and min_im > 0.0
+                  and worst_cr < cr_tol and not anomalies)
     return HerglotzCertificate(tuple(complex(w) for w in grid), float(min_im),
-                               float(worst_cr), passed, tuple(points),
-                               tuple(anomalies))
+                               float(worst_cr), passed, points, anomalies)
 
 
 @dataclass(frozen=True)

@@ -300,8 +300,8 @@ def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list, int]:
     spec = trajectory_coeffs(cfg.traj_L0, Z)
     back = trajectory_point(spec, 1j)
     roundtrip = _roundtrip_deviation(Z, back)
-    cert = herglotz_along_trajectory(builder, spec, cfg.f, cfg.grid,
-                                     cr_tol=args.tol, step=args.cr_step)
+    cert = herglotz_along_trajectory(builder, spec, cfg.f, cfg.grid, cr_tol=args.tol,
+                                     step=args.cr_step, layers=len(cfg.stack.layers))
     sample_orig = scalar_sample(builder(Z), cfg.f)
     sample_back = scalar_sample(builder(back), cfg.f)
     sample_dev = abs(sample_back - sample_orig) / max(abs(sample_orig), 1.0)

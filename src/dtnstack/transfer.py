@@ -183,16 +183,19 @@ def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
 
     With ``phase_of_layer`` the tensors are per phase, shape (..., P, 3, 3),
     and layer ``j`` takes phase ``phase_of_layer[j]``, one integer in
-    ``[0, P)`` per layer (else :class:`ParameterError`); without it layer
-    ``j`` is phase ``j``. :func:`build_A` runs once per (entry, phase) in
-    use, ``B_p = i J A_p`` comes from a signed row permutation, and the one
-    :func:`mat_exp` call takes the bases with each layer's width as its
-    scale, so the layers of one phase share its Padé powers.
+    ``[0, P)`` per layer; without it layer ``j`` is phase ``j``, one tensor
+    per layer (else :class:`ParameterError`). :func:`build_A` runs once per
+    (entry, phase) in use, ``B_p = i J A_p`` comes from a signed row
+    permutation, and the one :func:`mat_exp` call takes the bases with each
+    layer's width as its scale, so the layers of one phase share its Padé
+    powers.
     """
     t = np.asarray(thickness, dtype=float).reshape(-1)
     if not np.all(np.isfinite(t) & (t > 0)):
         raise GeometryError(f"layer thicknesses must be > 0, got {t}")
     we, wm = np.asarray(omega_eps, dtype=complex), np.asarray(omega_mu, dtype=complex)
+    if phase_of_layer is None and not we.shape[-3:-2] == wm.shape[-3:-2] == t.shape:
+        raise ParameterError(f"need one tensor per layer ({t.size}), got {we.shape}, {wm.shape}")
     if phase_of_layer is not None:
         phase_of_layer = np.asarray(phase_of_layer)
         if phase_of_layer.shape != t.shape or t.size and not (

@@ -41,12 +41,6 @@ __all__ = [
     "TrajectoryCertificate",
 ]
 
-#: most s-points :func:`herglotz_along_trajectory` hands the builder per call,
-#: each with its four CR-stencil neighbours. It counts s-points, not matrices
-#: (:data:`~dtnstack.linalg.MAT_EXP_BATCH`), because the builder's layer
-#: count is hidden here; at 16 layers a call holds 640 layer matrices
-TRAJECTORY_BATCH = 8
-
 
 def phi(A) -> np.ndarray:
     """Coordinates of a Hermitian matrix: diagonal, then ``√2·Re`` and
@@ -242,22 +236,23 @@ class TrajectoryCertificate(NamedTuple):
 def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
                               spec: TrajectorySpec, f, s_grid: Sequence[complex],
                               cr_tol: float = CR_TOL,
-                              step: float | None = None) -> TrajectoryCertificate:
+                              step: float | None = None,
+                              layers: int = 1) -> TrajectoryCertificate:
     """Certify that ``s -> (Lambda(Z(s)) f, f)`` behaves as a Herglotz map.
 
-    The grid is evaluated in chunks of at most :data:`TRAJECTORY_BATCH`
-    s-points, one builder call each. The first error of a chunk's trajectory
-    tensors or builder call ends the certification; a singular or overflowing
-    chunk is re-run point by point, raising its first failing s-point's own error.
+    The grid is evaluated in the chunks of the stencil pass, one builder call
+    each. The first error of a chunk's trajectory tensors or builder call ends
+    the certification; a singular or overflowing chunk is re-run point by
+    point, raising its first failing s-point's own error.
 
     Parameters
     ----------
     builder : callable
         Maps the tuple of trajectory tensors to a boundary operator
         (typically wrapping the tensor-route pipeline with fixed geometry,
-        wavevector, and constant). It gets tensors of leading shape (k, 5),
-        k ≤ :data:`TRAJECTORY_BATCH` s-points each with its four CR-stencil
-        neighbours, and must return the batched (k, 5, 6, 6) map, as
+        wavevector, and constant). It gets tensors of leading shape
+        (k, len(CR_OFFSETS)), k s-points each with its CR stencil, and must
+        return the batched (k, len(CR_OFFSETS), 6, 6) map, as
         :func:`~dtnstack.dtn.dtn_from_tensors` does.
     spec : TrajectorySpec
     f : array_like
@@ -269,14 +264,20 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
     step : float, optional
         CR stencil width (default ``1e-4·max(1, |s|)``), clamped to
         ``Im s / 2`` at each point.
+    layers : int
+        Layer count of the stacks ``builder`` propagates (a positive integer,
+        else :class:`ParameterError`); it sizes the chunks
+        (:func:`~dtnstack.analyticity._stencil_pass`).
     """
     if not len(s_grid):
         raise ParameterError("s_grid must be nonempty")
+    if isinstance(layers, bool) or not isinstance(layers, (int, np.integer)) or layers < 1:
+        raise ParameterError(f"layers must be a positive integer, got {layers!r}")
 
     def evaluate(stencils):
         return (scalar_sample(builder(trajectory_point(spec, stencils)), f),)
 
-    values, residuals = zip(*_stencil_pass(s_grid, step, TRAJECTORY_BATCH, evaluate))
+    values, residuals = zip(*_stencil_pass(s_grid, step, int(layers), evaluate))
     min_im = min(v.imag for v in values)
     worst_cr = max(residuals)
     passed = bool(min_im > 0.0 and worst_cr < cr_tol)

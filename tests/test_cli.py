@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import pkgutil
 import shutil
 import subprocess
@@ -437,6 +438,47 @@ def test_trajectory_command(tmp_path):
     assert res["min_im_h"] > 0
     assert res["phases"] == ["vacuum"]
     assert res["cr_step"] is None
+
+
+def test_trajectory_mat_exp_calls_stay_within_the_matrix_budget(tmp_path, monkeypatch):
+    # 64 layers of two alternating phases on a 10-point s-grid: a chunk of
+    # k s-points hands mat_exp k * len(CR_OFFSETS) * 64 layer matrices, at
+    # most MAT_EXP_BATCH (3 s-points, 960 matrices); a fixed 8 s-points per
+    # chunk would hand it 2,560
+    import dtnstack.transfer as T
+    from dtnstack.analyticity import CR_OFFSETS
+    from dtnstack.linalg import MAT_EXP_BATCH
+
+    doc = json.loads(VACUUM.read_text())
+    vacuum = doc["stack"]["layers"][0]["material"]
+    dense = json.loads(json.dumps(vacuum))
+    dense["label"] = "dense"
+    dense["eps"]["value"][0][0] = [2, 0]
+    doc["stack"]["layers"] = [{"thickness": 2.0 / 64, "material": (vacuum, dense)[j % 2]}
+                              for j in range(64)]
+    doc["omega_grid"].update(re_steps=5, im_steps=2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    mat_exp, sizes = T.mat_exp, []
+
+    def counting(*args):
+        P = mat_exp(*args)
+        sizes.append(math.prod(P.shape[:-2]))
+        return P
+
+    monkeypatch.setattr(T, "mat_exp", counting)
+    assert run_cli(["trajectory", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    res = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    assert res["phases"] == ["vacuum", "dense"]
+    # the certificate's chunks, then the samples at Z and at the s = i roundtrip
+    *chunks, at_z, at_back = sizes
+    per_point = len(CR_OFFSETS) * 64
+    assert (at_z, at_back) == (64, 64)
+    assert sum(chunks) == len(res["h_values"]) * per_point
+    assert max(chunks) <= MAT_EXP_BATCH
+    # every chunk but the last is full: one more s-point would not fit
+    assert all(n + per_point > MAT_EXP_BATCH for n in chunks[:-1])
+    assert len(chunks) > 1
 
 
 def test_trajectory_honours_cr_step(tmp_path):

@@ -1,8 +1,7 @@
-import importlib
-
 import numpy as np
 import pytest
 
+import dtnstack.transfer as transfer_module
 from dtnstack import (
     ConstantModel,
     DomainError,
@@ -20,11 +19,10 @@ from dtnstack import (
     flux_form,
     gamma,
     lambda_map,
-    transfer,
 )
 from dtnstack.dtn import _layer_point_counts
 from dtnstack.linalg import hermitian_parts
-from dtnstack.transfer import J, RHO, field_profile, resolve_layers, resolve_stack
+from dtnstack.transfer import J, RHO, field_profile, resolve_layers, resolve_stack, transfer
 from generators import (
     rand_constant_material,
     rand_kappa,
@@ -429,7 +427,6 @@ def test_energy_matches_mpmath_midpoint_oracle(d):
 def test_energy_chunked_anchors_match_one_chunk(rng, monkeypatch):
     # anchor chunks of three sum to the absorbed side of one chunk; the
     # endpoints, evaluated sample by sample, do not move at all
-    transfer_module = importlib.import_module("dtnstack.transfer")
     s = StackSpec(z_min=0.0, layers=tuple(Layer(1.5, rand_constant_material(rng, f"m{k}"))
                                           for k in range(4)))
     kap, om = (1.5, -0.5), rand_omega(rng)

@@ -1,8 +1,7 @@
-import importlib
-
 import numpy as np
 import pytest
 
+import dtnstack.transfer as transfer_module
 from dtnstack import (
     ConstantModel,
     DomainError,
@@ -10,6 +9,7 @@ from dtnstack import (
     HerglotzModel,
     Layer,
     MaterialSpec,
+    ParameterError,
     SingularMatrixError,
     StackSpec,
     build_A,
@@ -17,9 +17,8 @@ from dtnstack import (
     locate,
     make_drude,
     normal_components,
-    transfer,
 )
-from dtnstack.transfer import J, propagate, resolve_layers, resolve_stack
+from dtnstack.transfer import J, propagate, resolve_layers, resolve_stack, transfer
 from generators import (
     rand_constant_material,
     rand_drude_material,
@@ -210,6 +209,17 @@ def test_transfer_rejects_out_of_range():
         transfer(s, (0.0, 0.0), 1j, -1.0, 1.2)
 
 
+def test_propagate_without_phase_index_needs_one_tensor_per_layer():
+    # on three layers, two tensors used to raise a bare IndexError and a
+    # fourth tensor was silently ignored
+    we = np.eye(3, dtype=complex) * (1 + 1j)
+    for n_eps, n_mu in ((2, 3), (4, 3), (3, 2), (3, 4)):
+        with pytest.raises(ParameterError, match=r"one tensor per layer \(3\)"):
+            propagate([0.5] * 3, np.stack([we] * n_eps), np.stack([we] * n_mu), (0.1, 0.0))
+    T = propagate([0.5] * 3, np.stack([we] * 3), np.stack([we] * 3), (0.1, 0.0))
+    assert T.shape == (4, 4)
+
+
 def test_field_profile_continuity_and_endpoints(rng):
     s = rand_stack(rng, max_layers=4)
     kap, om = rand_kappa(rng), rand_omega(rng)
@@ -230,7 +240,6 @@ def test_field_profile_continuity_and_endpoints(rng):
 def test_field_profile_matches_transfer_both_directions(rng, monkeypatch):
     # anchored mid-stack, samples below z_ref propagate backwards; the
     # exponential batches may be split without changing the field
-    transfer_module = importlib.import_module("dtnstack.transfer")
     layers = tuple(Layer(float(rng.uniform(0.2, 0.8)), rand_constant_material(rng, f"m{k}"))
                    for k in range(3))
     s = StackSpec(z_min=-0.4, layers=layers)
@@ -287,7 +296,6 @@ def test_field_profile_anchor_cases_match_sorted_samples_bitwise(rng, monkeypatc
     # samples unsorted, duplicated, on every face and exactly halfway between
     # two anchors give bitwise the fields of the same samples sorted, however
     # the batches are split
-    transfer_module = importlib.import_module("dtnstack.transfer")
     layers = tuple(Layer(d, rand_constant_material(rng, f"m{k}"))
                    for k, d in enumerate((0.5, 0.75, 1.0)))
     s = StackSpec(z_min=0.0, layers=layers)

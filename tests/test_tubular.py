@@ -6,6 +6,7 @@ from dtnstack import (
     DomainError,
     Layer,
     NumericRangeError,
+    ParameterError,
     SingularMatrixError,
     StackSpec,
     TrajectorySpec,
@@ -22,8 +23,8 @@ from dtnstack import (
     trajectory_point,
     trajectory_roundtrip,
 )
-from dtnstack.analyticity import _stencil, _stencil_residual, default_cr_step
-from dtnstack.tubular import TRAJECTORY_BATCH
+from dtnstack import analyticity
+from dtnstack.analyticity import CR_OFFSETS, _stencil, _stencil_residual, default_cr_step
 from generators import rand_hermitian, rand_posdef
 
 
@@ -258,14 +259,20 @@ def _two_layer_trajectory(rng):
     return spec, builder
 
 
-def test_herglotz_along_trajectory_chunks_match_per_point(rng):
+#: s-points per builder call of the two-layer trajectory below, set through
+#: the one matrix budget of the stencil pass
+POINTS_PER_CALL = 8
+
+
+def test_herglotz_along_trajectory_chunks_match_per_point(rng, monkeypatch):
     # more than two chunks, the last one partial, against one builder call
     # per s-point and its stencil
     spec, builder = _two_layer_trajectory(rng)
     f = np.array([1.0, 0.5j, 0.0, -0.3, 0.2, 0.0])
-    n = 2 * TRAJECTORY_BATCH + 3
+    n = 2 * POINTS_PER_CALL + 3
     s_grid = list(rng.uniform(-1, 1, n) + 1j * rng.uniform(0.2, 1.5, n))
-    cert = herglotz_along_trajectory(builder, spec, f, s_grid)
+    monkeypatch.setattr(analyticity, "MAT_EXP_BATCH", POINTS_PER_CALL * len(CR_OFFSETS) * 2)
+    cert = herglotz_along_trajectory(builder, spec, f, s_grid, layers=2)
 
     values, residuals = [], []
     for s in s_grid:
@@ -278,9 +285,10 @@ def test_herglotz_along_trajectory_chunks_match_per_point(rng):
     assert cert.min_im == min(v.imag for v in values)
 
 
-def test_herglotz_along_trajectory_raises_from_last_chunk(rng):
+def test_herglotz_along_trajectory_raises_from_last_chunk(rng, monkeypatch):
     spec, builder = _two_layer_trajectory(rng)
-    s_grid = [complex(0.1 * k, 1.0) for k in range(TRAJECTORY_BATCH + 2)]
+    s_grid = [complex(0.1 * k, 1.0) for k in range(POINTS_PER_CALL + 2)]
+    monkeypatch.setattr(analyticity, "MAT_EXP_BATCH", POINTS_PER_CALL * len(CR_OFFSETS) * 2)
     calls = []
 
     def failing(tensors):
@@ -291,10 +299,40 @@ def test_herglotz_along_trajectory_raises_from_last_chunk(rng):
 
     with pytest.raises(SingularMatrixError, match="last chunk"):
         herglotz_along_trajectory(failing, spec, np.array([1.0, 0, 0, 0, 0, 0]),
-                                  s_grid)
+                                  s_grid, layers=2)
     # the failing chunk is re-run point by point; no point fails on its own,
     # so the chunk's error stands
-    assert calls == [(TRAJECTORY_BATCH, 5), (2, 5), (1, 5), (1, 5)]
+    n = len(CR_OFFSETS)
+    assert calls == [(POINTS_PER_CALL, n), (2, n), (1, n), (1, n)]
+
+
+@pytest.mark.parametrize("layers, per_call", [(1, 204), (2, 102), (64, 3), (300, 1)])
+def test_herglotz_along_trajectory_chunk_holds_at_most_the_matrix_budget(
+        rng, monkeypatch, layers, per_call):
+    # k s-points times the stencil times the builder's layers stay within
+    # MAT_EXP_BATCH = 1024, one s-point per call at least; the builder here
+    # propagates two layers whatever it is told, so only the calls are checked
+    monkeypatch.setattr(analyticity, "MAT_EXP_BATCH", 1024)
+    spec, builder = _two_layer_trajectory(rng)
+    s_grid = [complex(0.01 * k, 1.0) for k in range(per_call + 1)]
+    calls = []
+
+    def counting(tensors):
+        calls.append(tensors[0].shape[:-2])
+        return builder(tensors)
+
+    herglotz_along_trajectory(counting, spec, np.array([1.0, 0, 0, 0, 0, 0]), s_grid,
+                              layers=layers)
+    assert calls == [(per_call, len(CR_OFFSETS)), (1, len(CR_OFFSETS))]
+
+
+@pytest.mark.parametrize("layers", [0, -2, 1.0, 2.5, True, "4", None])
+def test_herglotz_along_trajectory_rejects_a_layer_count_that_is_no_positive_integer(
+        rng, layers):
+    spec, builder = _two_layer_trajectory(rng)
+    with pytest.raises(ParameterError, match="layers must be a positive integer"):
+        herglotz_along_trajectory(builder, spec, np.array([1.0, 0, 0, 0, 0, 0]), [1j],
+                                  layers=layers)
 
 
 def _lossy_pole_trajectory():
