@@ -11,7 +11,9 @@ workload configs come from ``perfbench/workloads.generate`` of this
 checkout, so both sides read the same inputs. Each run whose
 ``report.json``, ``sweep.csv``, exit code, stdout or stderr differs is
 printed, with the largest relative change of every numeric field that
-moved. Exits 1 if any run differs, 0 otherwise.
+moved. A run of this checkout that exits 2 while its report lists no
+anomaly (a silent FAIL) is printed and counted as a difference too. Exits 1
+if any run differs, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -65,6 +67,13 @@ def run(root: Path, argv: list, config: Path, work: Path) -> dict:
         path = work / "out" / name
         result[name] = path.read_text(encoding="utf-8") if path.exists() else None
     return result
+
+
+def silent_fail(result: dict) -> bool:
+    """Whether a run exits 2 with a report whose ``anomalies`` is empty."""
+    report = result["report.json"]
+    return (result["exit code"] == "2\n" and report is not None
+            and not json.loads(report)["anomalies"])
 
 
 def _compare(x, y, path: str, worst: dict, other: dict):
@@ -140,6 +149,8 @@ def main(argv=None) -> int:
             that = run(other, argv_, config, tmp / "other" / str(i))
             total += 1
             diffs = {k: describe(k, this[k], that[k]) for k in this if this[k] != that[k]}
+            if silent_fail(this):
+                diffs["verdict"] = ["exit 2 with no anomaly in report.json (this checkout)"]
             if diffs:
                 differing += 1
                 print(f"DIFF {name} ({' '.join(argv_)})")

@@ -29,6 +29,7 @@ __all__ = [
     "HerglotzCertificate",
     "PointRecord",
     "cr_residual",
+    "cr_anomalies",
     "omega_grid_points",
     "certify_point",
     "herglotz_certify",
@@ -125,6 +126,12 @@ class PointRecord(NamedTuple):
     compression: np.ndarray
 
 
+def cr_anomalies(worst_cr: float, cr_tol: float) -> tuple[str, ...]:
+    """The anomaly of a worst CR residual not below ``cr_tol``, if any."""
+    return () if worst_cr < cr_tol else (
+        f"worst CR residual {worst_cr:.3e} not below the tolerance {cr_tol:.3e}",)
+
+
 def _stencil_pass(points, step: float | None, layers: int, evaluate: Callable):
     """``(centre value, worst CR residual, *extras)`` of each point in turn,
     from one ``evaluate(stencils)`` per chunk of k points' stencils, shape
@@ -190,9 +197,12 @@ class HerglotzCertificate:
     grid: tuple[complex, ...]
     min_im_eig: float
     worst_cr: float
-    passed: bool
     points: tuple[PointRecord, ...]
     anomalies: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.anomalies
 
 
 def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
@@ -201,10 +211,10 @@ def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
                      step: float | None = None) -> HerglotzCertificate:
     """Certify positivity and analyticity margins over a frequency grid.
 
-    The verdict passes iff every grid point has a strictly positive smallest
-    eigenvalue of ``Im`` on the tangential compression, every CR residual is
-    below ``cr_tol``, all layers are passive at every point, and no
-    theorem-contradicting anomaly was recorded. Each chunk of grid points,
+    The verdict is "no anomaly": a non-passive layer, a failed well-posedness
+    check or a non-positive smallest eigenvalue of ``Im`` on the tangential
+    compression at any grid point, or a worst CR residual not below
+    ``cr_tol``, each records one. Each chunk of grid points,
     with the stencil (:data:`CR_OFFSETS`) of each, is one resolve, propagate
     and certify pass. ``step`` overrides the per-point default CR stencil width.
     A response model that is not finite anywhere in a chunk raises before
@@ -215,13 +225,12 @@ def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
     if not grid:
         raise ParameterError("grid must be nonempty")
     points, certs = zip(*_certified_points(stack, kappa, grid, z0, z1, step))
-    anomalies = tuple(a for cert in certs for a in cert.anomalies)
-    min_im = min(p.min_im_eig for p in points)
     worst_cr = max(p.worst_cr for p in points)
-    passed = bool(all(cert.passive for cert in certs) and min_im > 0.0
-                  and worst_cr < cr_tol and not anomalies)
-    return HerglotzCertificate(tuple(complex(w) for w in grid), float(min_im),
-                               float(worst_cr), passed, points, anomalies)
+    anomalies = (*(a for cert in certs for a in cert.anomalies),
+                 *cr_anomalies(worst_cr, cr_tol))
+    return HerglotzCertificate(tuple(complex(w) for w in grid),
+                               float(min(p.min_im_eig for p in points)),
+                               float(worst_cr), points, anomalies)
 
 
 @dataclass(frozen=True)

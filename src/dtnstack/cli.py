@@ -10,10 +10,11 @@ Subcommands::
     dtnstack trajectory --config cfg.json [--out DIR] [--tol T] [--cr-step H]
 
 Exit codes: 0 success, 1 usage or input error (including a flag the command
-does not read), 2 certification failure or numerical anomaly. Every
-successful run writes a deterministic ``report.json`` (plus a
-``run_meta.json`` timestamp sidecar, and ``sweep.csv`` for sweeps) into the
-output directory.
+does not read), 2 certification failure or numerical anomaly: exit 2 always
+names at least one anomaly, in the report and on stdout (or on stderr if
+the run stopped). Every successful run writes a deterministic
+``report.json`` (plus a ``run_meta.json`` timestamp sidecar, and
+``sweep.csv`` for sweeps) into the output directory.
 
 Config document::
 
@@ -54,7 +55,7 @@ from .exceptions import (
     SingularMatrixError,
     ToolkitError,
 )
-from .herglotz import _require_hermitian, passivity_check
+from .herglotz import _require_hermitian, passivity_anomalies, passivity_check
 from .report import emit_report, make_report_body, write_sweep_csv
 from .stack import (
     StackSpec,
@@ -191,22 +192,11 @@ def _certificate_json(cert) -> dict:
             "im_min_eig": cert.im_min_eig}
 
 
-def _gain_anomalies(pc, names) -> list[str]:
-    """One anomaly naming the first non-passive entry of a batched passivity
-    certificate and both of its margins, or none."""
-    gain = np.flatnonzero(~pc.ok)
-    if not gain.size:
-        return []
-    j = gain[0]
-    return [f"{names[j]} is not passive (min eig Im(omega*eps) "
-            f"{pc.min_eig_eps[j]:.3e}, Im(omega*mu) {pc.min_eig_mu[j]:.3e})"]
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_transfer(cfg: RunConfig, args) -> tuple[dict, list, int]:
+def _cmd_transfer(cfg: RunConfig, args) -> tuple[dict, list]:
     w = cfg.grid[0]
     T = transfer(cfg.stack, cfg.kappa, w, cfg.z0, cfg.z1)
     F = flux_form(T)
@@ -215,10 +205,10 @@ def _cmd_transfer(cfg: RunConfig, args) -> tuple[dict, list, int]:
         "transfer_matrix": T.matrix,
         "flux_min_eig": F.min_eig,
     }
-    return results, [], 0
+    return results, []
 
 
-def _cmd_dtn(cfg: RunConfig, args) -> tuple[dict, list, int]:
+def _cmd_dtn(cfg: RunConfig, args) -> tuple[dict, list]:
     w = cfg.grid[0]
     L, cert = dtn(cfg.stack, cfg.kappa, w, cfg.z0, cfg.z1)
     results = {
@@ -227,10 +217,10 @@ def _cmd_dtn(cfg: RunConfig, args) -> tuple[dict, list, int]:
         "tangential_compression": L.tangential_compression,
         "certificate": _certificate_json(cert),
     }
-    return results, list(cert.anomalies), 0 if cert.ok else 2
+    return results, list(cert.anomalies)
 
 
-def _cmd_certify(cfg: RunConfig, args) -> tuple[dict, list, int]:
+def _cmd_certify(cfg: RunConfig, args) -> tuple[dict, list]:
     hc = herglotz_certify(cfg.stack, cfg.kappa, cfg.grid, cfg.z0, cfg.z1,
                           cr_tol=args.tol, step=args.cr_step)
     results = {
@@ -243,21 +233,22 @@ def _cmd_certify(cfg: RunConfig, args) -> tuple[dict, list, int]:
         "points": [{k: v for k, v in p._asdict().items() if k != "compression"}
                    for p in hc.points],
     }
-    return results, list(hc.anomalies), 0 if hc.passed else 2
+    return results, list(hc.anomalies)
 
 
-def _cmd_energy(cfg: RunConfig, args) -> tuple[dict, list, int]:
+def _cmd_energy(cfg: RunConfig, args) -> tuple[dict, list]:
     rep = energy_balance(cfg.stack, cfg.psi0, cfg.kappa, cfg.grid[0],
                          cfg.z0, cfg.z1, n_points=args.quad_points)
-    anomalies = _gain_anomalies(
+    anomalies = passivity_anomalies(
         rep.passivity, [f"layer {j}" for j in range(len(cfg.stack.layers))])
-    passed = (rep.relative_gap <= args.tol and rep.boundary_flux >= 0.0
-              and rep.absorption_integral >= 0.0 and not anomalies)
-    if not anomalies and (rep.boundary_flux < 0.0 or rep.absorption_integral < 0.0):
+    if not anomalies and not (rep.boundary_flux >= 0.0 and rep.absorption_integral >= 0.0):
         anomalies.append(
             f"energy sides must be nonnegative for passive input "
             f"(boundary {rep.boundary_flux:.3e}, absorbed "
             f"{rep.absorption_integral:.3e})")
+    if not rep.relative_gap <= args.tol:
+        anomalies.append(f"relative energy gap {rep.relative_gap:.3e} above the "
+                         f"tolerance {args.tol:.3e}")
     results = {
         "omega": cfg.grid[0], "kappa": list(cfg.kappa),
         "z0": cfg.z0, "z1": cfg.z1,
@@ -266,12 +257,12 @@ def _cmd_energy(cfg: RunConfig, args) -> tuple[dict, list, int]:
         "relative_gap": rep.relative_gap,
         "n_points": rep.n_points,
         "tolerance": args.tol,
-        "passed": passed,
+        "passed": not anomalies,
     }
-    return results, anomalies, 0 if passed else 2
+    return results, anomalies
 
 
-def _cmd_sweep(cfg: RunConfig, args) -> tuple[dict, list, int]:
+def _cmd_sweep(cfg: RunConfig, args) -> tuple[dict, list]:
     hc = herglotz_certify(cfg.stack, cfg.kappa, cfg.grid, cfg.z0, cfg.z1,
                           cr_tol=args.tol, step=args.cr_step)
     out = Path(args.out)
@@ -285,17 +276,17 @@ def _cmd_sweep(cfg: RunConfig, args) -> tuple[dict, list, int]:
         "cr_tol": args.tol,
         "cr_step": args.cr_step,
     }
-    return results, list(hc.anomalies), 0 if hc.passed else 2
+    return results, list(hc.anomalies)
 
 
-def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list, int]:
+def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list]:
     labels, phase_of_layer, Z = phase_tensors(cfg.stack, cfg.traj_omega)
     # trajectory_coeffs needs every phase passive: fail as the other commands do
-    gain = _gain_anomalies(passivity_check(Z[:len(labels)], Z[len(labels):]),
-                           [f"phase {j} ({label!r})" for j, label in enumerate(labels)])
+    gain = passivity_anomalies(passivity_check(Z[:len(labels)], Z[len(labels):]),
+                               [f"phase {j} ({label!r})" for j, label in enumerate(labels)])
     if gain:
         return ({"phases": labels, "omega": cfg.traj_omega, "cr_tol": args.tol,
-                 "cr_step": args.cr_step, "passed": False}, gain, 2)
+                 "cr_step": args.cr_step, "passed": not gain}, gain)
     builder = partial(phase_dtn, cfg.stack, cfg.kappa, phase_of_layer)
     spec = trajectory_coeffs(cfg.traj_L0, Z)
     back = trajectory_point(spec, 1j)
@@ -305,7 +296,10 @@ def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list, int]:
     sample_orig = scalar_sample(builder(Z), cfg.f)
     sample_back = scalar_sample(builder(back), cfg.f)
     sample_dev = abs(sample_back - sample_orig) / max(abs(sample_orig), 1.0)
-    passed = cert.passed and roundtrip <= 1e-12
+    anomalies = list(cert.anomalies)
+    if not roundtrip <= 1e-12:
+        anomalies.append(f"trajectory round trip deviates by {roundtrip:.3e} "
+                         f"from the phase tensors (tolerance 1.000e-12)")
     results = {
         "phases": labels,
         "omega": cfg.traj_omega,
@@ -317,9 +311,9 @@ def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list, int]:
         "worst_cr": cert.worst_cr,
         "cr_tol": args.tol,
         "cr_step": args.cr_step,
-        "passed": passed,
+        "passed": not anomalies,
     }
-    return results, [], 0 if passed else 2
+    return results, anomalies
 
 
 _COMMANDS = {
@@ -394,7 +388,7 @@ def main(argv=None) -> int:
             print(f"dtnstack: --tol must be finite and > 0, got {args.tol}",
                   file=sys.stderr)
             return 1
-        results, anomalies, code = _COMMANDS[args.command](cfg, args)
+        results, anomalies = _COMMANDS[args.command](cfg, args)
     except (SingularMatrixError, NumericRangeError) as exc:
         print(f"dtnstack: numerical anomaly: {exc}", file=sys.stderr)
         return 2
@@ -407,11 +401,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"dtnstack: cannot write report: {exc}", file=sys.stderr)
         return 1
-    status = "PASS" if code == 0 else "FAIL"
-    print(f"[{args.command}] {status} report={path}")
+    print(f"[{args.command}] {'FAIL' if anomalies else 'PASS'} report={path}")
     for a in anomalies:
         print(f"[{args.command}] anomaly: {a}")
-    return code
+    return 2 if anomalies else 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, GeometryError, NumericRangeError
-from .herglotz import PassivityCertificate, passivity_check
+from .herglotz import PassivityCertificate, passivity_anomalies, passivity_check
 from .linalg import (
     SINGULAR_CONDITION_LIMIT,
     condition_1norm,
@@ -262,9 +262,7 @@ class DtnCertificate:
 
     @property
     def ok(self) -> bool:
-        return (self.passive and self.well_defined.flux_positive
-                and all(self.well_defined.blocks_invertible)
-                and self.im_min_eig > 0.0 and not self.anomalies)
+        return not self.anomalies
 
 
 def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float,
@@ -294,7 +292,9 @@ def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float
         passivity = tuple(PassivityCertificate(*v) for v in zip(*(a[i].tolist() for a in pc)))
         passive = all(p.ok for p in passivity)
         wd = _row(wds, i)
-        anomalies = []
+        anomalies = [] if passive else passivity_anomalies(
+            PassivityCertificate(*(a[i] for a in pc)),
+            [f"layer {j}" for j in range(len(passivity))])
         # margins are meaningless once |min eig| sinks below the rounding floor
         # of J - T*JT; keep the verdict fail-closed but diagnose it honestly
         exhausted = abs(wd.flux_min_eig) <= wd.flux_resolution
@@ -313,7 +313,7 @@ def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float
             anomalies.append(
                 f"transfer-matrix block numerically singular for passive input "
                 f"(cond T12 {wd.condition_T12:.3e})")
-        if passive and wd.flux_positive and im_min <= 0.0:
+        if passive and wd.flux_positive and not im_min > 0.0:
             anomalies.append(
                 f"Im of the tangential compression not positive definite "
                 f"(min eig {im_min:.3e})")
@@ -362,8 +362,9 @@ def dtn(stack: StackSpec, kappa, omega, z0: float, z1: float) -> tuple[DtnMap, D
     (DtnMap, DtnCertificate)
         The certificate carries per-layer passivity margins, the flux/
         invertibility checks, and the positivity margin of
-        ``Im`` of the tangential compression. Theorem-contradicting outcomes
-        are reported in ``certificate.anomalies`` rather than raised.
+        ``Im`` of the tangential compression. Every failed check, a
+        non-passive layer included, is reported in ``certificate.anomalies``
+        rather than raised; ``certificate.ok`` is true iff there is none.
     """
     w, k = _certified_inputs(kappa, complex(omega), z0, z1)
     L, (cert,) = _certified_dtn(*resolve_stack(stack, w), k, stack.c, stack.z_min, z0, z1)

@@ -40,6 +40,7 @@ __all__ = [
     "make_constant",
     "vacuum_material",
     "passivity_check",
+    "passivity_anomalies",
 ]
 
 _PSD_RTOL = 1e-12
@@ -299,3 +300,14 @@ def passivity_check(omega_eps, omega_mu) -> PassivityCertificate:
     if ok.ndim == 0:
         return PassivityCertificate(bool(ok), float(min_e), float(min_m))
     return PassivityCertificate(ok, min_e, min_m)
+
+
+def passivity_anomalies(pc, names) -> list[str]:
+    """One anomaly naming the first non-passive entry of a batched passivity
+    certificate and both of its margins, or none."""
+    gain = np.flatnonzero(~pc.ok)
+    if not gain.size:
+        return []
+    j = gain[0]
+    return [f"{names[j]} is not passive (min eig Im(omega*eps) "
+            f"{pc.min_eig_eps[j]:.3e}, Im(omega*mu) {pc.min_eig_mu[j]:.3e})"]

@@ -183,8 +183,9 @@ def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
 
     With ``phase_of_layer`` the tensors are per phase, shape (..., P, 3, 3),
     and layer ``j`` takes phase ``phase_of_layer[j]``, one integer in
-    ``[0, P)`` per layer; without it layer ``j`` is phase ``j``, one tensor
-    per layer (else :class:`ParameterError`). :func:`build_A` runs once per
+    ``[0, P)`` per layer, and ``omega_mu`` holds as many phases as
+    ``omega_eps``; without it layer ``j`` is phase ``j``, one tensor per
+    layer (else :class:`ParameterError`). :func:`build_A` runs once per
     (entry, phase) in use, ``B_p = i J A_p`` comes from a signed row
     permutation, and the one :func:`mat_exp` call takes the bases with each
     layer's width as its scale, so the layers of one phase share its Padé
@@ -197,6 +198,9 @@ def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
     if phase_of_layer is None and not we.shape[-3:-2] == wm.shape[-3:-2] == t.shape:
         raise ParameterError(f"need one tensor per layer ({t.size}), got {we.shape}, {wm.shape}")
     if phase_of_layer is not None:
+        if wm.shape[-3:-2] != we.shape[-3:-2]:
+            raise ParameterError(f"need one omega_mu tensor per omega_eps phase, "
+                                 f"got {we.shape}, {wm.shape}")
         phase_of_layer = np.asarray(phase_of_layer)
         if phase_of_layer.shape != t.shape or t.size and not (
                 phase_of_layer.dtype.kind in "iu" and phase_of_layer.min() >= 0

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .analyticity import CR_TOL, _stencil_pass, scalar_sample
+from .analyticity import CR_TOL, _stencil_pass, cr_anomalies, scalar_sample
 from .dtn import DtnMap
 from .exceptions import ContractError, DomainError, ParameterError, SingularMatrixError
 from .herglotz import _PSD_RTOL, _require_hermitian
@@ -229,8 +229,12 @@ class TrajectoryCertificate(NamedTuple):
     grid: tuple[complex, ...]
     min_im: float
     worst_cr: float
-    passed: bool
     values: tuple[complex, ...]
+    anomalies: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.anomalies
 
 
 def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
@@ -260,7 +264,8 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
     s_grid : sequence of complex
         Evaluation points in the open upper half-plane.
     cr_tol : float
-        CR-residual threshold for the verdict.
+        CR-residual threshold. The verdict is "no anomaly": a worst residual
+        not below it, or a sample with ``Im <= 0``, records one.
     step : float, optional
         CR stencil width (default ``1e-4·max(1, |s|)``), clamped to
         ``Im s / 2`` at each point.
@@ -278,8 +283,11 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
         return (scalar_sample(builder(trajectory_point(spec, stencils)), f),)
 
     values, residuals = zip(*_stencil_pass(s_grid, step, int(layers), evaluate))
-    min_im = min(v.imag for v in values)
-    worst_cr = max(residuals)
-    passed = bool(min_im > 0.0 and worst_cr < cr_tol)
-    return TrajectoryCertificate(tuple(complex(s) for s in s_grid), float(min_im),
-                                 float(worst_cr), passed, tuple(map(complex, values)))
+    min_im = float(min(v.imag for v in values))
+    worst_cr = float(max(residuals))
+    anomalies = cr_anomalies(worst_cr, cr_tol)
+    if not min_im > 0.0:
+        anomalies = (f"Im of the boundary sample not positive along the "
+                     f"trajectory (min {min_im:.3e})", *anomalies)
+    return TrajectoryCertificate(tuple(complex(s) for s in s_grid), min_im, worst_cr,
+                                 tuple(map(complex, values)), anomalies)

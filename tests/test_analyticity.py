@@ -27,9 +27,11 @@ from dtnstack.dtn import _gamma_matrix, _lambda_matrix
 from dtnstack.transfer import propagate
 from dtnstack.analyticity import (
     CR_OFFSETS,
+    CR_TOL,
     MAT_EXP_BATCH,
     _certified_points,
     _stencil_residual,
+    cr_anomalies,
     default_cr_step,
     phase_dtn,
     phase_tensors,
@@ -191,7 +193,10 @@ def test_chunk_size_changes_no_record_certificate_or_anomaly(monkeypatch, points
         assert np.array_equal(rec.compression, ref_rec.compression)
         assert cert == ref_cert
     hc = herglotz_certify(s, (0.8, 0.0), grid)
-    assert hc.anomalies == tuple(a for _, cert in reference for a in cert.anomalies)
+    # the points' anomalies, then the grid's own: its worst CR residual
+    assert hc.anomalies == (*(a for _, cert in reference for a in cert.anomalies),
+                            *cr_anomalies(hc.worst_cr, CR_TOL))
+    assert len(hc.anomalies) == sum(len(cert.anomalies) for _, cert in reference) + 1
 
 
 def _singular_then_overflowing_stack():

@@ -55,6 +55,54 @@ def test_bundled_gain_config_fails_certification(tmp_path, capsys):
     assert report["results"]["min_im_eig"] < 0
 
 
+COMMANDS = ("transfer", "dtn", "certify", "energy", "sweep", "trajectory")
+
+
+def _lossy_layer(tmp_path):
+    # eps = diag(2+0.5i, 3+0.3i, 2.5+0.4i), mu = I, d = 20 at omega = 1+0.3i:
+    # the energy quadrature's gap (7.5e-6) exceeds the default tolerance
+    doc = json.loads(VACUUM.read_text())
+    layer = doc["stack"]["layers"][0]
+    layer["thickness"] = 20.0
+    for i, v in enumerate([[2, 0.5], [3, 0.3], [2.5, 0.4]]):
+        layer["material"]["eps"]["value"][i][i] = v
+    doc.update(kappa=[0.8, 0.0], omega_grid=dict(re_min=1.0, re_max=1.0, re_steps=1,
+                                                 im_min=0.3, im_max=0.3, im_steps=1))
+    p = tmp_path / "lossy.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+#: (argv, exit code): the six commands on every bundled config, then the
+#: failures that used to exit 2 with no anomaly
+VERDICT_CASES = {
+    **{f"{c}-{cfg.stem}": ([c, "--config", cfg], code)
+       for cfg, codes in ((VACUUM, (0,) * 6), (GAIN, (0,) + (2,) * 5),
+                          (BAD_GRID, (0,) + (1,) * 5))
+       for c, code in zip(COMMANDS, codes)},
+    **{f"{c}-tiny-tol": ([c, "--config", VACUUM, "--tol", "1e-30"], 2)
+       for c in ("certify", "sweep", "trajectory")},
+    "energy-lossy-d20": (["energy", "--config", _lossy_layer], 2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, expected", VERDICT_CASES.values(), ids=VERDICT_CASES)
+def test_exit_2_exactly_when_the_report_names_an_anomaly(tmp_path, capsys, argv, expected):
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    code = run_cli([*argv, "--out", tmp_path / "out"])
+    assert code == expected
+    out = capsys.readouterr().out
+    report = tmp_path / "out" / "report.json"
+    if code == 1:  # input error: no report
+        assert not report.exists() and "anomaly:" not in out
+        return
+    anomalies = json.loads(report.read_text())["anomalies"]
+    assert (code == 2) == bool(anomalies), anomalies
+    assert [line for line in out.splitlines() if " anomaly: " in line] == \
+        [f"[{argv[0]}] anomaly: {a}" for a in anomalies]
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run_cli(["dtn", "--config", tmp_path / "nope.json"]) == 1
 

@@ -220,6 +220,19 @@ def test_propagate_without_phase_index_needs_one_tensor_per_layer():
     assert T.shape == (4, 4)
 
 
+def test_propagate_with_phase_index_needs_one_mu_tensor_per_eps_phase():
+    # two eps phases: three mu tensors used to be truncated silently and one
+    # mu tensor raised a bare IndexError
+    we = np.eye(3, dtype=complex) * (1 + 1j)
+    for n_mu in (3, 1):
+        with pytest.raises(ParameterError, match="one omega_mu tensor per omega_eps phase"):
+            propagate([0.5] * 3, np.stack([we] * 2), np.stack([we] * n_mu), (0.1, 0.0),
+                      phase_of_layer=[0, 1, 0])
+    T = propagate([0.5] * 3, np.stack([we] * 2), np.stack([we] * 2), (0.1, 0.0),
+                  phase_of_layer=[0, 1, 0])
+    assert T.shape == (4, 4)
+
+
 def test_field_profile_continuity_and_endpoints(rng):
     s = rand_stack(rng, max_layers=4)
     kap, om = rand_kappa(rng), rand_omega(rng)
