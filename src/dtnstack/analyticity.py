@@ -132,23 +132,32 @@ def cr_anomalies(worst_cr: float, cr_tol: float) -> tuple[str, ...]:
         f"worst CR residual {worst_cr:.3e} not below the tolerance {cr_tol:.3e}",)
 
 
-def _stencil_pass(points, step: float | None, layers: int, evaluate: Callable):
+def _stencil_pass(points, step: float | None, layers: int, evaluate: Callable,
+                  label: str):
     """``(centre value, worst CR residual, *extras)`` of each point in turn,
     from one ``evaluate(stencils)`` per chunk of k points' stencils, shape
     (k, len(CR_OFFSETS)), which returns values of that leading shape and
     extras of k entries. ``evaluate`` propagates stacks of ``layers`` layers;
     k keeps a chunk within :data:`MAT_EXP_BATCH` layer matrices (or is 1). A
     chunk raising :class:`SingularMatrixError` or :class:`NumericRangeError`
-    is re-run point by point, so its error is the first failing point's own."""
+    is re-run point by point, so its error is the first failing point's own,
+    and its message names that point as ``label = z``."""
     per_call = max(1, MAT_EXP_BATCH // (len(CR_OFFSETS) * layers))
-    stencils, steps = map(np.array, zip(*(_stencil(complex(z), step) for z in points)))
+    points = [complex(z) for z in points]
+    stencils, steps = map(np.array, zip(*(_stencil(z, step) for z in points)))
     for start in range(0, len(stencils), per_call):
         part = slice(start, start + per_call)
         try:
             values, *extras = evaluate(stencils[part])
         except (SingularMatrixError, NumericRangeError):
             for i in range(*part.indices(len(stencils))):
-                evaluate(stencils[i:i + 1])
+                try:
+                    evaluate(stencils[i:i + 1])
+                except (SingularMatrixError, NumericRangeError) as exc:
+                    z = points[i]
+                    exc.args = (f"{exc} in the CR stencil of {label} = "
+                                f"{z.real:.6g}{z.imag:+.6g}i",)
+                    raise
             raise
         v = np.moveaxis(values.reshape(values.shape[:2] + (-1,)), 1, 0)
         worst = np.max(_stencil_residual(v, steps[part, None]), axis=-1)
@@ -171,7 +180,8 @@ def _certified_points(stack: StackSpec, kappa, grid: Sequence[complex],
         return L[..., TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES], certs
 
     for w, (centre, worst, cert) in zip(
-            omegas.tolist(), _stencil_pass(omegas, step, len(stack.layers), evaluate)):
+            omegas.tolist(), _stencil_pass(omegas, step, len(stack.layers), evaluate,
+                                              "omega")):
         yield PointRecord(w, cert.im_min_eig, worst,
                           cert.well_defined.condition_T12, centre), cert
 

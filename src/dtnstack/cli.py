@@ -80,9 +80,10 @@ __all__ = ["main", "RunConfig"]
 #: commands whose frequencies must lie in the open upper half-plane
 CERTIFICATION_COMMANDS = {"dtn", "certify", "energy", "sweep", "trajectory"}
 
-#: most ``--quad-points`` accepted: ``energy`` keeps a few arrays of one
-#: float per point, and 1e6 points peak at about 150 MB resident
-#: (``getrusage`` of one process on ``configs/vacuum_certify.json``)
+#: most ``--quad-points`` accepted: ``energy`` costs its anchors, not its
+#: points, and peaks at about 33 MB resident at 2,000 and at 1e6 points alike
+#: (``getrusage`` of one process on ``configs/vacuum_certify.json``), and
+#: ``tests/test_dtn.py`` pins the midpoint rule's second order up to the cap
 MAX_QUAD_POINTS = 1_000_000
 
 #: most frequency-grid points accepted (``re_steps × im_steps``)

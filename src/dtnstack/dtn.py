@@ -17,6 +17,7 @@ this module check numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -31,15 +32,17 @@ from .linalg import (
     min_im_eig,
     split_blocks,
 )
-from .stack import StackSpec
+from .stack import StackSpec, locate
 from .transfer import (
     _TAYLOR_K,
     J,
     RHO,
     TransferMatrix,
-    _anchor_stage,
     _chunk_rows,
+    _layer_stage,
+    _nearest_anchors,
     _normal_map,
+    _taylor_coefficients,
     _taylor_values,
     propagate,
     resolve_stack,
@@ -191,7 +194,7 @@ def _gamma_matrix(T: np.ndarray) -> np.ndarray:
     """``Gamma`` of a transfer matrix or a batch (..., 4, 4) of them."""
     T11, T12 = T[..., :2, :2], T[..., :2, 2:]
     T21, T22 = T[..., 2:, :2], T[..., 2:, 2:]
-    inv_T12 = inverse(T12)
+    inv_T12 = inverse(T12, "T12")
     return np.block([[T22 @ inv_T12, T21 - T22 @ inv_T12 @ T11],
                      [inv_T12, -inv_T12 @ T11]])
 
@@ -453,6 +456,80 @@ def _layer_point_counts(segments: list[float], n_points: int) -> list[int]:
     return counts
 
 
+#: Bernoulli numbers B_0, B_2, ..., B_2K as (numerator, denominator) (DLMF Table 24.2.1)
+_BERNOULLI = ((1, 1), (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+              (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+              (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+              (8615841276005, 14322), (-7709321041217, 510))
+
+#: Euler–Maclaurin weights ``B_2j C(s + 1, 2j) / (s + 1)`` of :func:`_power_sums`,
+#: row ``j``, column ``s`` (zero where ``2j > s``): one correctly rounded
+#: division of exact integers each
+_EULER_MACLAURIN = np.array([[num * comb(s + 1, 2 * j) / (den * (s + 1)) if 2 * j <= s else 0.0
+                              for s in range(2 * _TAYLOR_K + 1)]
+                             for j, (num, den) in enumerate(_BERNOULLI)])
+
+
+def _power_sums(a: np.ndarray, b: np.ndarray, count: np.ndarray,
+                step: np.ndarray) -> np.ndarray:
+    """``sum_n x_n^s`` for ``s = 0 .. 2K`` over each arithmetic progression
+    ``x_n = a + n step``, ``n < count``, ending at ``b``: shape (len(a), 2K + 1).
+
+    The Euler–Maclaurin formula (DLMF 2.10.1, Bernoulli numbers §24.2) is
+    exact for polynomials, and with ``b^r - a^r = (b - a) h_(r-1)(a, b)``,
+    ``h_n(a, b) = sum_k a^k b^(n-k)`` and ``b - a = (count - 1) step`` it reads
+    ``(a^s + b^s) / 2 + (count - 1) sum_j B_2j C(s+1, 2j) / (s+1) step^2j
+    h_(s-2j)(a, b)``: no difference of nearly equal powers is formed, so a
+    short progression keeps its digits."""
+    K2 = 2 * _TAYLOR_K
+    pa, pb = a[:, np.newaxis] ** np.arange(K2 + 1), b[:, np.newaxis] ** np.arange(K2 + 1)
+    h = np.empty_like(pa)
+    h[:, 0] = 1.0
+    for n in range(1, K2 + 1):
+        h[:, n] = b * h[:, n - 1] + pa[:, n]
+    d2 = np.where(count > 1, step, 0.0) ** 2  # a single term has no step
+    tail = h * _EULER_MACLAURIN[0]
+    d2j = np.ones_like(d2)
+    for j in range(1, _TAYLOR_K + 1):
+        d2j = d2j * d2
+        tail[:, 2 * j:] += d2j[:, np.newaxis] * _EULER_MACLAURIN[j, 2 * j:] * h[:, :K2 + 1 - 2 * j]
+    return (pa + pb) / 2.0 + (count - 1)[:, np.newaxis] * tail
+
+
+def _segment_anchors(per_length: np.ndarray, layer: np.ndarray, start: np.ndarray,
+                     width: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The anchors of each segment's midpoints ``start + (i + 1/2) width``,
+    ``i < counts``, offsets in its layer (see
+    :func:`~dtnstack.transfer.field_profile`), and their power sums.
+
+    Every anchor that owns a midpoint comes once, as its key ``layer +
+    i*multiple`` (:func:`~dtnstack.transfer._nearest_anchors`), with the
+    power sums of its midpoints' unit offsets (:func:`_power_sums`): in the
+    unit of the layer's spacing the midpoints are ``y0 + i d``, anchor ``m``
+    owns those with ``rint(y) = m``, an index range found from ``m`` itself.
+    The candidate multiples run from the first midpoint's to the last's, or
+    are the midpoints' own where they are sparser than the multiples, so no
+    array outgrows the anchors or the midpoints, whichever are fewer."""
+    pl = per_length[layer]
+    y0, d = (start + 0.5 * width) * pl, width * pl
+    m0 = np.rint(y0)
+    size = np.minimum(np.rint(y0 + (counts - 1) * d) - m0 + 1, counts).astype(int)
+    seg = np.repeat(np.arange(layer.size), size)
+    first_of_seg = np.cumsum(size) - size
+    i = np.arange(seg.size) - first_of_seg[seg]
+    y0, d, counts = y0[seg], d[seg], counts[seg]
+    m = np.where(size[seg] < counts, m0[seg] + i, np.rint(y0 + i * d))
+    # anchor m's first midpoint is the first with y >= m - 1/2 (the first
+    # candidate, rint(y0), gets midpoint 0)
+    first = np.clip(np.ceil((m - 0.5 - y0) / d), 0, counts).astype(int)
+    stop = np.append(first[1:], 0)
+    stop[first_of_seg + size - 1] = counts[first_of_seg]
+    own = stop > first
+    first, stop, m, y0, d = first[own], stop[own], m[own], y0[own], d[own]
+    sums = _power_sums(y0 + first * d - m, y0 + (stop - 1) * d - m, stop - first, d)
+    return layer[seg[own]] + 1j * m, sums
+
+
 def _absorption_forms(omega_eps, omega_mu, kappa, c: float) -> np.ndarray:
     """Hermitian ``Q`` per layer, shape (L, 4, 4), with absorbed density
     ``(E, Im[omega*eps] E) + (H, Im[omega*mu] H) = psi* Q psi``: with the
@@ -484,14 +561,19 @@ def energy_balance(stack: StackSpec, psi0, kappa, omega,
     The absorbed side never forms a field sample. In layer ``j`` the density
     is ``psi* Q_j psi`` for one Hermitian 4×4 ``Q_j`` (the normal components
     are a fixed linear map of ``psi`` there), and each sample is a Taylor
-    polynomial ``psi_n = sum_p c_p x_n^p`` from its anchor (see
+    polynomial ``psi_n = sum_p c_p x_n^p`` from its nearest anchor (see
     :func:`~dtnstack.transfer.field_profile`), so the samples of anchor
     ``a`` sum to ``tr(Q_j G_a)`` with the Gram matrix
     ``G_a = sum_n psi_n psi_n* = C^T H_a conj(C)``, ``H_a[p, q]`` the power
     sum of ``x_n^(p+q)`` over the anchor's samples. The absorbed side is
     ``(1/8π) sum_a h_j Re tr(Q_j G_a)``, ``h_j`` the cell width in layer
-    ``j``. The two endpoints are Taylor polynomials evaluated as
-    :func:`~dtnstack.transfer.field_profile` evaluates them.
+    ``j``. An anchor's samples are equally spaced, so its power sums are
+    closed forms in its first and last offset, its sample count and the
+    spacing (the Euler–Maclaurin formula, exact for polynomials): the cost
+    follows the anchors, not ``n_points``, and no array per sample is
+    formed. The two endpoints are Taylor polynomials from their nearest
+    anchors, evaluated as :func:`~dtnstack.transfer.field_profile`
+    evaluates them.
 
     Parameters
     ----------
@@ -520,31 +602,28 @@ def energy_balance(stack: StackSpec, psi0, kappa, omega,
     lo, hi = np.maximum(z0, b[:-1]), np.minimum(z1, b[1:])
     seg = np.flatnonzero(hi > lo)
     counts = np.array(_layer_point_counts(list(hi[seg] - lo[seg]), int(n_points)))
-    n = int(counts.sum())
     width = np.zeros(b.size - 1)
     width[seg] = (hi[seg] - lo[seg]) / counts
-    cell = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-    zs = np.repeat(lo[seg], counts) + (cell + 0.5) * np.repeat(width[seg], counts)
 
+    layers = _layer_stage(stack, psi0, k, w, z0)
+    seg_keys, seg_sums = _segment_anchors(layers.per_length, seg, lo[seg] - b[seg],
+                                          width[seg], counts)
     # the two endpoints ride along for the boundary side
-    st = _anchor_stage(stack, psi0, k, w, np.append(zs, [z0, z1]), z0)
-    Q = _absorption_forms(st.omega_eps, st.omega_mu, k, stack.c)
-    # power sums of x^s, s = 0 .. 2K, over each anchor's quadrature samples
-    n_anchors, K = st.anchor_layer.size, _TAYLOR_K
-    anchor_of, x, xs = st.anchor_of[:n], st.x[:n], np.ones(n)
-    sums = np.empty((n_anchors, 2 * K + 1))
-    for s in range(2 * K + 1):
-        sums[:, s] = np.bincount(anchor_of, weights=xs, minlength=n_anchors)
-        xs = xs * x
-    hankel = np.add.outer(np.arange(K + 1), np.arange(K + 1))
+    end_keys, end_x = _nearest_anchors(layers.per_length, *locate(stack, np.array([z0, z1])))
+    keys, anchor_of = np.unique(np.append(seg_keys, end_keys), return_inverse=True)
+    sums = np.zeros((keys.size, 2 * _TAYLOR_K + 1))
+    sums[anchor_of[:-2]] = seg_sums
+    end_anchor, a_layer = anchor_of[-2:], keys.real.astype(int)
+    Q = _absorption_forms(layers.omega_eps, layers.omega_mu, k, stack.c)
+    hankel = np.add.outer(np.arange(_TAYLOR_K + 1), np.arange(_TAYLOR_K + 1))
 
     absorbed, ends = 0.0, np.empty((2, 4), dtype=complex)
-    for chunk, coef in st.coefficients:
-        rows = n + _chunk_rows(st.anchor_of[n:], chunk)
-        ends[rows - n] = _taylor_values(coef, st.anchor_of[rows] - chunk[0], st.x[rows])
+    for chunk, coef in _taylor_coefficients(layers, keys):
+        rows = _chunk_rows(end_anchor, chunk)
+        ends[rows] = _taylor_values(coef, end_anchor[rows] - chunk[0], end_x[rows])
         C = coef.transpose(1, 0, 2)  # (anchor, p, 4)
         G = np.swapaxes(C, -1, -2) @ (sums[chunk][:, hankel] @ C.conj())
-        j = st.anchor_layer[chunk]
+        j = a_layer[chunk]
         absorbed += float(width[j] @ np.einsum("aki,aik->a", Q[j], G).real)
     absorbed /= 8.0 * np.pi
 
@@ -552,5 +631,5 @@ def energy_balance(stack: StackSpec, psi0, kappa, omega,
     boundary = (stack.c / (16.0 * np.pi)) * (flux[0] - flux[1])
 
     gap = abs(boundary - absorbed) / max(abs(boundary), abs(absorbed), _TINY)
-    return EnergyReport(boundary, absorbed, float(gap), n,
-                        passivity_check(st.omega_eps, st.omega_mu))
+    return EnergyReport(boundary, absorbed, float(gap), int(counts.sum()),
+                        passivity_check(layers.omega_eps, layers.omega_mu))

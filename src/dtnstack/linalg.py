@@ -251,9 +251,9 @@ def condition_1norm(A):
     return float(c) if c.ndim == 0 else c
 
 
-def inverse(A) -> np.ndarray:
+def inverse(A, name: str = "matrix") -> np.ndarray:
     """Inverse of square ``A`` (or of each matrix of a batch) with a
-    singularity guard.
+    singularity guard; ``name`` names ``A`` in the error.
 
     The 1-norm condition number is ``||A||_1 ||A^{-1}||_1`` from the same
     inverse, so each matrix is inverted once.
@@ -276,7 +276,7 @@ def inverse(A) -> np.ndarray:
         cond = float(np.max(np.where(np.isfinite(c), c, np.inf)))
     if not cond <= SINGULAR_CONDITION_LIMIT:
         raise SingularMatrixError(
-            f"matrix is singular to working precision (cond_1 ~ {cond:.3e})",
+            f"{name} is singular to working precision (cond_1 ~ {cond:.3e})",
             condition=cond,
         )
     return inv

@@ -312,29 +312,26 @@ def field_profile(stack: StackSpec, psi0, kappa, omega, zs,
     return psi_out, phi_out
 
 
-class _Anchors(NamedTuple):
-    """The anchor stage of a field profile: the resolved tensors, each
-    sample's layer, anchor and unit offset ``x`` from its anchor, each
-    anchor's layer, and a generator of ``(anchors, coef)`` over consecutive
-    chunks of at most ``MAT_EXP_BATCH`` anchors, ``coef[p, k]`` the degree-``p``
-    Taylor coefficient of the chunk's ``k``-th anchor, shape (K + 1, chunk, 4)."""
+class _Layers(NamedTuple):
+    """The layer stage of a field profile: the resolved tensors, each layer's
+    ``B = i J A``, anchor spacing ``1 / per_length`` and field at its left
+    face, and the data ``psi0`` at offset ``d_ref`` of layer ``j_ref``."""
 
     omega_eps: np.ndarray
     omega_mu: np.ndarray
-    layer_of: np.ndarray
-    anchor_of: np.ndarray
-    x: np.ndarray
-    anchor_layer: np.ndarray
-    coefficients: Iterator[tuple[np.ndarray, np.ndarray]]
+    B: np.ndarray
+    per_length: np.ndarray
+    left: np.ndarray
+    psi0: np.ndarray
+    j_ref: int
+    d_ref: float
 
 
-def _anchor_stage(stack: StackSpec, psi0, kappa, omega, zs, z_ref: float | None) -> _Anchors:
-    """Layer faces, anchors, sample offsets and Taylor coefficients of
-    :func:`field_profile` (see its Notes)."""
+def _layer_stage(stack: StackSpec, psi0, kappa, omega, z_ref: float | None) -> _Layers:
+    """Layer faces and anchor spacings of :func:`field_profile` (see its Notes)."""
     psi0 = np.asarray(psi0, dtype=complex).reshape(4)
     z_ref = stack.z_min if z_ref is None else float(z_ref)
     j_ref, d_ref = locate(stack, z_ref)
-    layer_of, offset = locate(stack, np.atleast_1d(np.asarray(zs, dtype=float)))
 
     t, we, wm = resolve_stack(stack, complex(omega))
     B = _ij(build_A(we, wm, kappa, stack.c))  # i J A, one base per layer
@@ -354,36 +351,70 @@ def _anchor_stage(stack: StackSpec, psi0, kappa, omega, zs, z_ref: float | None)
     for j in range(j_ref - 1, -1, -1):
         left[j] = steps[j] @ left[j + 1]
 
-    # each sample is a Taylor step from the nearest anchor, a multiple of
-    # delta = 2R / ||B||_1 in its layer, in the unit x = (z - a) / delta:
-    # |x| <= 1/2 and ||B delta||_1 = 2R, so no coefficient outgrows psi(a)
+    # anchors are multiples of delta = 2R / ||B||_1 in their layer, and a
+    # sample's unit offset from its anchor is x = (z - a) / delta: with
+    # |x| <= 1/2 and ||B delta||_1 = 2R no Taylor coefficient outgrows psi(a)
     per_length = np.abs(B).sum(axis=-2).max(axis=-1) / (2.0 * _TAYLOR_R)  # 1 / delta
     per_length[per_length == 0] = 1.0  # B = 0: any spacing is exact
-    Md = B / per_length[:, np.newaxis, np.newaxis]
-    # the key layer + i*multiple sorts by layer, then by multiple
-    anchors, anchor_of = np.unique(layer_of + 1j * np.rint(offset * per_length[layer_of]),
-                                   return_inverse=True)
-    a_layer = anchors.real.astype(int)
-    a_offset = anchors.imag / per_length[a_layer]
-    x = (offset - a_offset[anchor_of]) * per_length[layer_of]
+    return _Layers(we, wm, B, per_length, left, psi0, j_ref, d_ref)
 
-    def coefficients():
-        for chunk in _parts(np.arange(anchors.size)):
-            # coef[p] = (B delta)^p psi(a) / p! for each anchor a of the chunk;
-            # psi(a) steps from z_ref in its layer, from the left face elsewhere
-            j = a_layer[chunk]
-            at_ref = j == j_ref
-            start = left[j]
-            start[at_ref] = psi0
-            dz = np.where(at_ref, a_offset[chunk] - d_ref, a_offset[chunk])
-            coef = np.empty((_TAYLOR_K + 1, chunk.size, 4), dtype=complex)
-            coef[0] = (mat_exp(B, dz, j) @ start[:, :, np.newaxis])[..., 0]
-            Mj = Md[j]
-            for p in range(1, _TAYLOR_K + 1):
-                coef[p] = (Mj @ coef[p - 1, :, :, np.newaxis])[..., 0] / p
-            yield chunk, coef
 
-    return _Anchors(we, wm, layer_of, anchor_of, x, a_layer, coefficients())
+def _nearest_anchors(per_length: np.ndarray, layer_of: np.ndarray,
+                     offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's nearest anchor, as the key ``layer + i*multiple`` (keys
+    sort by layer, then by multiple), and the sample's unit offset ``x`` from it."""
+    pl = per_length[layer_of]
+    multiple = np.rint(offset * pl)
+    return layer_of + 1j * multiple, (offset - multiple / pl) * pl
+
+
+def _taylor_coefficients(layers: _Layers,
+                         keys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(anchors, coef)`` over consecutive chunks of at most ``MAT_EXP_BATCH``
+    of the anchors ``keys`` (see :func:`_nearest_anchors`), ``coef[p, k]`` the
+    degree-``p`` Taylor coefficient ``(B delta)^p psi(a) / p!`` of the chunk's
+    ``k``-th anchor ``a``, shape (K + 1, chunk, 4). ``psi(a)`` is one step from
+    ``z_ref`` in its layer and from the left face elsewhere."""
+    a_layer = keys.real.astype(int)
+    a_offset = keys.imag / layers.per_length[a_layer]
+    Md = layers.B / layers.per_length[:, np.newaxis, np.newaxis]
+    for chunk in _parts(np.arange(keys.size)):
+        j = a_layer[chunk]
+        at_ref = j == layers.j_ref
+        start = layers.left[j]
+        start[at_ref] = layers.psi0
+        dz = np.where(at_ref, a_offset[chunk] - layers.d_ref, a_offset[chunk])
+        coef = np.empty((_TAYLOR_K + 1, chunk.size, 4), dtype=complex)
+        coef[0] = (mat_exp(layers.B, dz, j) @ start[:, :, np.newaxis])[..., 0]
+        Mj = Md[j]
+        for p in range(1, _TAYLOR_K + 1):
+            coef[p] = (Mj @ coef[p - 1, :, :, np.newaxis])[..., 0] / p
+        yield chunk, coef
+
+
+class _Anchors(NamedTuple):
+    """The anchors of a field profile: the resolved tensors, each sample's
+    layer, anchor and unit offset ``x`` from its anchor, each anchor's layer,
+    and the anchors' :func:`_taylor_coefficients`."""
+
+    omega_eps: np.ndarray
+    omega_mu: np.ndarray
+    layer_of: np.ndarray
+    anchor_of: np.ndarray
+    x: np.ndarray
+    anchor_layer: np.ndarray
+    coefficients: Iterator[tuple[np.ndarray, np.ndarray]]
+
+
+def _anchor_stage(stack: StackSpec, psi0, kappa, omega, zs, z_ref: float | None) -> _Anchors:
+    """The anchors of :func:`field_profile`: in each layer, the multiples of
+    the spacing nearest to some sample (see its Notes)."""
+    layer_of, offset = locate(stack, np.atleast_1d(np.asarray(zs, dtype=float)))
+    layers = _layer_stage(stack, psi0, kappa, omega, z_ref)
+    keys, x = _nearest_anchors(layers.per_length, layer_of, offset)
+    anchors, anchor_of = np.unique(keys, return_inverse=True)
+    return _Anchors(layers.omega_eps, layers.omega_mu, layer_of, anchor_of, x,
+                    anchors.real.astype(int), _taylor_coefficients(layers, anchors))
 
 
 def _taylor_values(coef: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:

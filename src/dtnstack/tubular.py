@@ -282,7 +282,7 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
     def evaluate(stencils):
         return (scalar_sample(builder(trajectory_point(spec, stencils)), f),)
 
-    values, residuals = zip(*_stencil_pass(s_grid, step, int(layers), evaluate))
+    values, residuals = zip(*_stencil_pass(s_grid, step, int(layers), evaluate, "s"))
     min_im = float(min(v.imag for v in values))
     worst_cr = float(max(residuals))
     anomalies = cr_anomalies(worst_cr, cr_tol)

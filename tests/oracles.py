@@ -176,3 +176,25 @@ def midpoint_integral(fn, a, b, n):
     h = (b - a) / n
     zs = a + (np.arange(n) + 0.5) * h
     return h * sum(fn(z) for z in zs)
+
+
+def power_sums_oracle(a, d, count, s_max, dps=50):
+    """``sum_k (a + k d)^s`` over ``k < count`` for ``s = 0 .. s_max``, as
+    ``dps``-digit ``mpmath`` numbers: the doubles ``a`` and ``d`` are exact
+    dyadic rationals ``A / D`` and ``S / D`` over one power of two, so every
+    sum is an exact integer over ``D^s``, rounded once to ``dps`` digits."""
+    from fractions import Fraction
+
+    import mpmath  # optional test dependency: callers importorskip it
+
+    fa, fd = Fraction(float(a)), Fraction(float(d))
+    den = max(fa.denominator, fd.denominator)  # both powers of two
+    A, S = int(fa * den), int(fd * den)
+    sums = [0] * (s_max + 1)
+    for k in range(count):
+        x, p = A + k * S, 1
+        for s in range(s_max + 1):
+            sums[s] += p
+            p *= x
+    with mpmath.workdps(dps):
+        return [mpmath.mpf(v) / mpmath.mpf(den) ** s for s, v in enumerate(sums)]

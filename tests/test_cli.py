@@ -58,16 +58,18 @@ def test_bundled_gain_config_fails_certification(tmp_path, capsys):
 COMMANDS = ("transfer", "dtn", "certify", "energy", "sweep", "trajectory")
 
 
-def _lossy_layer(tmp_path):
+def _lossy_layer(tmp_path, thickness=20.0, re_max=1.0, im_max=0.3):
     # eps = diag(2+0.5i, 3+0.3i, 2.5+0.4i), mu = I, d = 20 at omega = 1+0.3i:
-    # the energy quadrature's gap (7.5e-6) exceeds the default tolerance
+    # the energy quadrature's gap (7.5e-6) exceeds the default tolerance.
+    # With re_max or im_max the grid has 3 x 2 points up to them.
     doc = json.loads(VACUUM.read_text())
     layer = doc["stack"]["layers"][0]
-    layer["thickness"] = 20.0
+    layer["thickness"] = thickness
     for i, v in enumerate([[2, 0.5], [3, 0.3], [2.5, 0.4]]):
         layer["material"]["eps"]["value"][i][i] = v
-    doc.update(kappa=[0.8, 0.0], omega_grid=dict(re_min=1.0, re_max=1.0, re_steps=1,
-                                                 im_min=0.3, im_max=0.3, im_steps=1))
+    steps = (1, 1) if (re_max, im_max) == (1.0, 0.3) else (3, 2)
+    doc.update(kappa=[0.8, 0.0], omega_grid=dict(re_min=1.0, re_max=re_max, re_steps=steps[0],
+                                                 im_min=0.3, im_max=im_max, im_steps=steps[1]))
     p = tmp_path / "lossy.json"
     p.write_text(json.dumps(doc))
     return p
@@ -101,6 +103,24 @@ def test_exit_2_exactly_when_the_report_names_an_anomaly(tmp_path, capsys, argv,
     assert (code == 2) == bool(anomalies), anomalies
     assert [line for line in out.splitlines() if " anomaly: " in line] == \
         [f"[{argv[0]}] anomaly: {a}" for a in anomalies]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, thickness, reason, point", [
+    ("trajectory", 52.0, "T12 is singular to working precision (cond_1 ~ ", "s = 1.2+0.3i"),
+    ("certify", 600.0, "flux form overflowed (max |T_ij| = ", "omega = 1+0.3i"),
+    ("sweep", 600.0, "flux form overflowed (max |T_ij| = ", "omega = 1+0.3i"),
+])
+def test_stencil_pass_error_names_its_matrix_and_point(tmp_path, capsys, command,
+                                                       thickness, reason, point):
+    # the lossy layer on the grid 1.0-1.2 + i 0.3-0.4: the first failing
+    # point's error names the singular block or the overflow, and the point
+    cfg = _lossy_layer(tmp_path, thickness, re_max=1.2, im_max=0.4)
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"dtnstack: numerical anomaly: {reason}")
+    assert line.endswith(f") in the CR stencil of {point}")
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -20,9 +20,17 @@ from dtnstack import (
     gamma,
     lambda_map,
 )
-from dtnstack.dtn import _layer_point_counts
+from dtnstack.dtn import _layer_point_counts, _power_sums
 from dtnstack.linalg import hermitian_parts
-from dtnstack.transfer import J, RHO, field_profile, resolve_layers, resolve_stack, transfer
+from dtnstack.transfer import (
+    _TAYLOR_K,
+    J,
+    RHO,
+    field_profile,
+    resolve_layers,
+    resolve_stack,
+    transfer,
+)
 from generators import (
     rand_constant_material,
     rand_kappa,
@@ -31,7 +39,7 @@ from generators import (
     rand_tangential,
     vacuum_slab,
 )
-from oracles import energy_midpoint_oracle, gamma_oracle
+from oracles import energy_midpoint_oracle, gamma_oracle, power_sums_oracle
 
 RHO_STAR = RHO.conj().T
 
@@ -440,3 +448,63 @@ def test_energy_chunked_anchors_match_one_chunk(rng, monkeypatch):
     assert chunked.boundary_flux == whole.boundary_flux
     assert chunked.absorption_integral == pytest.approx(whole.absorption_integral, rel=1e-14)
     assert chunked.n_points == whole.n_points
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 10_000])
+@pytest.mark.parametrize("step", [1e-6, 1e-3, 0.1, 1.0, 2.0])
+def test_power_sums_match_exact_oracle(step, count):
+    # the closed-form power sums of an anchor's offsets against exact sums:
+    # each x^s enters the Gram matrix with weight 1/(p! q!), p + q = s, and
+    # the weighted error stays within 1e-14 of the count (of the count
+    # times max|x|^s for a progression longer than one cell)
+    mpmath = pytest.importorskip("mpmath")
+    span = (count - 1) * step
+    a = -0.5 + 0.3 * (1.0 - span) if span <= 1.0 else -0.4 * span  # off-centre
+    b = a + span
+    got = _power_sums(np.array([a]), np.array([b]), np.array([count]), np.array([step]))[0]
+    exact = power_sums_oracle(a, step, count, 2 * _TAYLOR_K)
+    scale = max(1.0, abs(a), abs(b))
+    for s, (g, e) in enumerate(zip(got, exact)):
+        weight = 1.0 / (mpmath.factorial(s // 2) * mpmath.factorial(s - s // 2))
+        assert abs(g - e) * weight <= 1e-14 * count * scale ** s, (s, g, e)
+
+
+def _energy_case():
+    rng = np.random.default_rng(0)
+    s = rand_stack(rng, max_layers=4)
+    kap, om = rand_kappa(rng), rand_omega(rng)
+    return s, rng.standard_normal(4) + 1j * rng.standard_normal(4), kap, om
+
+
+def test_energy_cost_does_not_follow_the_point_count(monkeypatch):
+    # the same mat_exp calls on the same matrices at 2,000 and at 1,000,000
+    # points, and no array of one float per point
+    import tracemalloc
+
+    s, psi0, kap, om = _energy_case()
+    mat_exp, calls = transfer_module.mat_exp, []
+
+    def recording(*args):
+        calls[-1].append(args)
+        return mat_exp(*args)
+
+    monkeypatch.setattr(transfer_module, "mat_exp", recording)
+    for n in (2000, 1_000_000):
+        calls.append([])
+        tracemalloc.start()
+        energy_balance(s, psi0, kap, om, n_points=n)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 8 * 1_000_000  # one float64 per point would take 8 MB
+    few, many = calls
+    assert len(few) == len(many) > 1
+    for args_few, args_many in zip(few, many):
+        assert all(np.array_equal(x, y) for x, y in zip(args_few, args_many))
+
+
+def test_energy_quadrature_second_order_to_a_million_points():
+    # the midpoint rule's defect keeps falling as h^2 out to 10^6 points
+    s, psi0, kap, om = _energy_case()
+    g5, g6 = (energy_balance(s, psi0, kap, om, n_points=n).relative_gap
+              for n in (100_000, 1_000_000))
+    assert 99.0 <= g5 / g6 <= 101.0
