@@ -21,7 +21,6 @@ from .dtn import (
     WellDefinedCertificate,
     apply_dtn,
     check_well_defined,
-    dtn,
     dtn_from_tensors,
     energy_balance,
     flux_block_expression,

@@ -232,7 +232,7 @@ def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
     propagation error at an earlier point of the chunk; propagation and
     ``T12`` errors come in grid order.
     """
-    if not grid:
+    if not len(grid):
         raise ParameterError("grid must be nonempty")
     points, certs = zip(*_certified_points(stack, kappa, grid, z0, z1, step))
     worst_cr = max(p.worst_cr for p in points)
@@ -285,6 +285,13 @@ def phase_dtn(stack: StackSpec, kappa, phase_of_layer: Sequence[int],
                        kappa, stack.c, stack.z_min, False)[0]
 
 
+def _index(value, name: str, n: int) -> None:
+    """Raise :class:`ParameterError` naming ``name`` unless ``value`` is an
+    integer in ``[0, n)``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < n:
+        raise ParameterError(f"{name} must be an integer in [0, {n}), got {value!r}")
+
+
 def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
                       row: int, col: int, base_Z: Sequence | None = None,
                       entry: tuple[int, int] = (0, 0),
@@ -303,6 +310,10 @@ def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
 
     Raises
     ------
+    ParameterError
+        Unless ``tensor_index`` is an integer in ``[0, 2P)``, ``row`` and
+        ``col`` integers in ``[0, 3)`` and ``entry`` a pair of integers in
+        ``[0, 6)``.
     DomainError
         If a base tensor's imaginary part is not positive definite, or the
         step is so large a perturbed imaginary part loses definiteness.
@@ -313,10 +324,13 @@ def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
          for i, M in enumerate(base_Z)] if base_Z is not None else resolved
     if len(Z) != 2 * P:
         raise ParameterError(f"base_Z must list {2 * P} tensors, got {len(Z)}")
-    if not 0 <= tensor_index < 2 * P:
-        raise ParameterError(f"tensor_index out of range [0, {2 * P})")
-    if not (0 <= row < 3 and 0 <= col < 3):
-        raise ParameterError("row/col must index a 3×3 tensor")
+    _index(tensor_index, "tensor_index", 2 * P)
+    _index(row, "row", 3)
+    _index(col, "col", 3)
+    if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+        raise ParameterError(f"entry must be a pair of integers in [0, 6), got {entry!r}")
+    for e in entry:
+        _index(e, "entry", 6)
     bad = np.flatnonzero(min_im_eig(np.stack(Z)) <= 0.0)
     if bad.size:
         raise DomainError(f"Im Z[{bad[0]}] must be positive definite at the base point")

@@ -299,24 +299,25 @@ def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float
             PassivityCertificate(*(a[i] for a in pc)),
             [f"layer {j}" for j in range(len(passivity))])
         # margins are meaningless once |min eig| sinks below the rounding floor
-        # of J - T*JT; keep the verdict fail-closed but diagnose it honestly
+        # of J - T*JT: a failed flux or compression check there is
+        # indeterminate, not a contradiction (the verdict stays fail-closed)
         exhausted = abs(wd.flux_min_eig) <= wd.flux_resolution
-        if passive and not wd.flux_positive:
-            if exhausted:
-                anomalies.append(
-                    f"flux margin below the numerical resolution of the transfer "
-                    f"route (|T| = {wd.transfer_norm:.3e}, resolution = "
-                    f"{wd.flux_resolution:.3e}); result indeterminate in double "
-                    f"precision")
-            else:
-                anomalies.append(
-                    f"flux form not positive definite for passive input "
-                    f"(min eig {wd.flux_min_eig:.3e})")
+        compression_positive = im_min > 0.0
+        if passive and exhausted and not (wd.flux_positive and compression_positive):
+            anomalies.append(
+                f"flux margin below the numerical resolution of the transfer "
+                f"route (|T| = {wd.transfer_norm:.3e}, resolution = "
+                f"{wd.flux_resolution:.3e}); result indeterminate in double "
+                f"precision")
+        elif passive and not wd.flux_positive:
+            anomalies.append(
+                f"flux form not positive definite for passive input "
+                f"(min eig {wd.flux_min_eig:.3e})")
         if passive and not all(wd.blocks_invertible):
             anomalies.append(
                 f"transfer-matrix block numerically singular for passive input "
                 f"(cond T12 {wd.condition_T12:.3e})")
-        if passive and wd.flux_positive and not im_min > 0.0:
+        if passive and wd.flux_positive and not exhausted and not compression_positive:
             anomalies.append(
                 f"Im of the tangential compression not positive definite "
                 f"(min eig {im_min:.3e})")

@@ -145,21 +145,21 @@ def build_A(omega_eps, omega_mu, kappa, c: float = 1.0) -> np.ndarray:
 def normal_components(omega_eps, omega_mu, kappa, psi, c: float = 1.0) -> np.ndarray:
     """Normal components ``phi = (E3, H3)`` induced by tangential data ``psi``.
 
-    ``phi = -Voo^{-1} Vop psi`` with the same block conventions as
-    :func:`build_A`; ``psi`` may carry leading batch axes, shape (..., 4).
-    Each sample's product is an elementwise sum in a fixed order, so its
-    value does not depend on the batch it comes in (a BLAS product's does).
+    ``phi = R psi`` with ``R = -Voo^{-1} Vop`` from :func:`_normal_map`, the
+    one normal map (same block conventions as :func:`build_A`); ``psi`` may
+    carry leading batch axes, shape (..., 4). Each sample's product is an
+    elementwise sum in a fixed order, so its value does not depend on the
+    batch it comes in (a BLAS product's does).
     """
     we = as_cmatrix(omega_eps, "omega_eps", shape=(3, 3))
     wm = as_cmatrix(omega_mu, "omega_mu", shape=(3, 3))
+    R = _normal_map(we, wm, kappa, c)
     psi = np.asarray(psi, dtype=complex)
-    _, _, Vop, voo = _v_blocks(we, wm, kappa, float(c))
-    return -sum(psi[..., j, np.newaxis] * Vop[:, j] for j in range(4)) / voo
+    return sum(psi[..., j, np.newaxis] * R[:, j] for j in range(4))
 
 
 def _normal_map(omega_eps, omega_mu, kappa, c: float) -> np.ndarray:
-    """The matrices ``R = -Voo^{-1} Vop``, shape (..., 2, 4), with ``phi = R psi``
-    (see :func:`normal_components`)."""
+    """The matrices ``R = -Voo^{-1} Vop``, shape (..., 2, 4), with ``phi = R psi``."""
     _, _, Vop, voo = _v_blocks(omega_eps, omega_mu, kappa, float(c))
     return -Vop / voo[..., np.newaxis]
 
@@ -294,22 +294,28 @@ def field_profile(stack: StackSpec, psi0, kappa, omega, zs,
     Each sample is the degree-``K`` Taylor polynomial of ``exp(r M)`` applied to
     its anchor's field, ``r`` the distance to the anchor: ``|r| ||M||_1 <=
     R = 1/2`` and ``K = 16`` bound the truncation error by ``R^(K+1) /
-    (K+1)! ~ 2e-20`` relative to the anchor's field. Samples are evaluated
-    in parts of at most ``MAT_EXP_BATCH``, elementwise, so a sample's value
-    does not depend on the order or the company it comes in.
+    (K+1)! ~ 2e-20`` relative to the anchor's field. The normal components
+    are ``phi = R psi`` with each layer's ``R = -Voo^{-1} Vop`` from one
+    :func:`_normal_map` call over all the layers, the map
+    :func:`normal_components` applies. Samples are evaluated in parts of at
+    most ``MAT_EXP_BATCH``, elementwise in a fixed order, so a sample's
+    value does not depend on the order or the company it comes in.
     """
-    st = _anchor_stage(stack, psi0, kappa, omega, zs, z_ref)
-    psi_out = np.empty((st.x.size, 4), dtype=complex)
-    for chunk, coef in st.coefficients:
-        for part in _parts(_chunk_rows(st.anchor_of, chunk)):
-            psi_out[part] = _taylor_values(coef, st.anchor_of[part] - chunk[0], st.x[part])
+    layer_of, offset = locate(stack, np.atleast_1d(np.asarray(zs, dtype=float)))
+    layers = _layer_stage(stack, psi0, kappa, omega, z_ref)
+    keys, x = _nearest_anchors(layers.per_length, layer_of, offset)
+    anchors, anchor_of = np.unique(keys, return_inverse=True)
+    psi = np.empty((x.size, 4), dtype=complex)
+    for chunk, coef in _taylor_coefficients(layers, anchors):
+        for part in _parts(_chunk_rows(anchor_of, chunk)):
+            psi[part] = _taylor_values(coef, anchor_of[part] - chunk[0], x[part])
 
-    phi_out = np.empty((st.x.size, 2), dtype=complex)
-    for j in np.unique(st.layer_of):
-        for part in _parts(np.flatnonzero(st.layer_of == j)):
-            phi_out[part] = normal_components(st.omega_eps[j], st.omega_mu[j], kappa,
-                                              psi_out[part], stack.c)
-    return psi_out, phi_out
+    R = _normal_map(layers.omega_eps, layers.omega_mu, kappa, stack.c)
+    phi = np.empty((x.size, 2), dtype=complex)
+    for part in _parts(np.arange(x.size)):
+        Rs = R[layer_of[part]]
+        phi[part] = sum(psi[part, j, np.newaxis] * Rs[..., j] for j in range(4))
+    return psi, phi
 
 
 class _Layers(NamedTuple):
@@ -390,31 +396,6 @@ def _taylor_coefficients(layers: _Layers,
         for p in range(1, _TAYLOR_K + 1):
             coef[p] = (Mj @ coef[p - 1, :, :, np.newaxis])[..., 0] / p
         yield chunk, coef
-
-
-class _Anchors(NamedTuple):
-    """The anchors of a field profile: the resolved tensors, each sample's
-    layer, anchor and unit offset ``x`` from its anchor, each anchor's layer,
-    and the anchors' :func:`_taylor_coefficients`."""
-
-    omega_eps: np.ndarray
-    omega_mu: np.ndarray
-    layer_of: np.ndarray
-    anchor_of: np.ndarray
-    x: np.ndarray
-    anchor_layer: np.ndarray
-    coefficients: Iterator[tuple[np.ndarray, np.ndarray]]
-
-
-def _anchor_stage(stack: StackSpec, psi0, kappa, omega, zs, z_ref: float | None) -> _Anchors:
-    """The anchors of :func:`field_profile`: in each layer, the multiples of
-    the spacing nearest to some sample (see its Notes)."""
-    layer_of, offset = locate(stack, np.atleast_1d(np.asarray(zs, dtype=float)))
-    layers = _layer_stage(stack, psi0, kappa, omega, z_ref)
-    keys, x = _nearest_anchors(layers.per_length, layer_of, offset)
-    anchors, anchor_of = np.unique(keys, return_inverse=True)
-    return _Anchors(layers.omega_eps, layers.omega_mu, layer_of, anchor_of, x,
-                    anchors.real.astype(int), _taylor_coefficients(layers, anchors))
 
 
 def _taylor_values(coef: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:

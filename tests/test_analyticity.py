@@ -13,7 +13,6 @@ from dtnstack import (
     build_A,
     certify_point,
     cr_residual,
-    dtn,
     dtn_from_tensors,
     herglotz_certify,
     make_drude,
@@ -23,7 +22,7 @@ from dtnstack import (
     slice_analyticity,
 )
 from dtnstack import analyticity
-from dtnstack.dtn import _gamma_matrix, _lambda_matrix
+from dtnstack.dtn import _gamma_matrix, _lambda_matrix, dtn
 from dtnstack.transfer import propagate
 from dtnstack.analyticity import (
     CR_OFFSETS,
@@ -155,6 +154,18 @@ def test_herglotz_certify_passive(rng):
     assert cert.worst_cr <= 1e-5
     assert len(cert.points) == len(grid)
     assert cert.anomalies == ()
+
+
+def test_herglotz_certify_accepts_an_array_grid(rng):
+    s = rand_stack(rng, max_layers=2)
+    kappa, grid = rand_kappa(rng), [0.3 + 0.8j, -0.5 + 1.2j]
+    from_array, from_list = (herglotz_certify(s, kappa, g) for g in (np.array(grid), grid))
+    for field in ("grid", "min_im_eig", "worst_cr", "anomalies"):
+        assert getattr(from_array, field) == getattr(from_list, field)
+    for a, b in zip(from_array.points, from_list.points, strict=True):
+        assert a[:4] == b[:4] and np.array_equal(a.compression, b.compression)
+    with pytest.raises(ParameterError, match="grid must be nonempty"):
+        herglotz_certify(s, kappa, np.array([], dtype=complex))
 
 
 def test_herglotz_certify_chunks_match_certify_point(rng):
@@ -461,6 +472,24 @@ def test_slice_analyticity_validates_indices(rng):
         slice_analyticity(s, 1j, (0.0, 0.0), 7, 0, 0)
     with pytest.raises(ParameterError):
         slice_analyticity(s, 1j, (0.0, 0.0), 0, 3, 0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(entry=(7, 0)), "entry"),
+    (dict(entry=(-1, 0)), "entry"),
+    (dict(entry=(0,)), "entry"),
+    (dict(entry=(0.0, 1)), "entry"),
+    (dict(tensor_index=0.5), "tensor_index"),
+    (dict(row=1.0), "row"),
+    (dict(col=True), "col"),
+])
+def test_slice_analyticity_requires_integer_indices(rng, kwargs, name):
+    # a negative index must not wrap to a zero normal row, and a fractional
+    # or out-of-range one is a ParameterError naming the argument
+    s = _two_phase_stack(rng)
+    args = dict(tensor_index=0, row=0, col=0) | kwargs
+    with pytest.raises(ParameterError, match=name):
+        slice_analyticity(s, 1j, (0.0, 0.0), **args)
 
 
 def test_wavevector_slice_is_analytic(rng):
