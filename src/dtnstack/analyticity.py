@@ -1,9 +1,10 @@
 """Numerical surrogates for analyticity and Herglotz certification.
 
 Analyticity cannot be proven from samples; it is *probed* with the
-Cauchy–Riemann residual — a central-difference estimate of
-``2 ∂f/∂conj(z)``, which vanishes to O(h²) for holomorphic ``f`` and
-reproduces the size of any conj-contamination.
+Cauchy–Riemann residual — a four-point estimate of ``2 ∂f/∂conj(z)`` from
+``z``, ``z ± h`` and ``z + ih`` (Fornberg, Math. Comp. 51:699, 1988), which
+vanishes to O(h²) for holomorphic ``f``, reproduces the size of any
+conj-contamination, and samples nothing below ``Im z``.
 
 The certificates in this module sweep boundary operators over grids in the
 open upper half-plane, recording positivity margins of ``Im`` on the
@@ -41,7 +42,7 @@ __all__ = [
 
 
 #: CR stencil points ``z + h * CR_OFFSETS`` (centre first) for step ``h``
-CR_OFFSETS = np.array([0.0, 1.0, -1.0, 1j, -1j])
+CR_OFFSETS = np.array([0.0, 1.0, -1.0, 1j])
 
 #: default CR-residual threshold of the grid and trajectory verdicts
 CR_TOL = 1e-5
@@ -53,28 +54,32 @@ def default_cr_step(z0: complex) -> float:
 
 
 def _stencil(z: complex, step: float | None = None) -> tuple[np.ndarray, float]:
-    """The CR stencil ``z + h * CR_OFFSETS`` and its step ``h``: ``step``
-    (default :func:`default_cr_step`) clamped to ``Im z / 2``, so the
-    stencil stays in the upper half-plane."""
-    h = min(default_cr_step(z) if step is None else float(step), 0.5 * z.imag)
+    """The CR stencil ``z + h * CR_OFFSETS`` and its step ``h = step``
+    (default :func:`default_cr_step`); no stencil point lies below ``z``."""
+    h = default_cr_step(z) if step is None else float(step)
     return z + h * CR_OFFSETS, h
 
 
 def _stencil_residual(f, h):
     """CR residual from the values ``f`` at the :data:`CR_OFFSETS` stencil
-    points, along the first axis; further axes and ``h`` broadcast."""
-    _, fp, fm, fip, fim = np.asarray(f)
-    deriv = (fp - fm) / (2.0 * h) + 1j * (fip - fim) / (2.0 * h)
-    scale = np.maximum.reduce([np.abs(v) for v in (fp, fm, fip, fim)])
+    points, along the first axis; further axes and ``h`` broadcast.
+
+    ``2 ∂f/∂conj(z) ≈ (-4i f(z) + (1+i) f(z+h) + (i-1) f(z-h) + 2i f(z+ih)) / (2h)``
+    annihilates 1, ``z - z0`` and ``(z - z0)²`` and reads ``conj(z - z0)`` as 2,
+    over ``max(|f| over the non-centre points, 1)``."""
+    f0, fp, fm, fip = np.asarray(f)
+    deriv = (-4j * f0 + (1 + 1j) * fp + (1j - 1) * fm + 2j * fip) / (2.0 * h)
+    scale = np.maximum.reduce([np.abs(v) for v in (fp, fm, fip)])
     return np.abs(deriv) / np.maximum(scale, 1.0)
 
 
 def cr_residual(fn: Callable[[complex], complex], z0, h: float | None = None) -> float:
     """Cauchy–Riemann residual of ``fn`` at ``z0``.
 
-    ``|(f(z0+h)-f(z0-h))/(2h) + i (f(z0+ih)-f(z0-ih))/(2h)| / scale`` with
-    ``scale = max(|f| over the stencil, 1)``. Approximates ``2|∂f/∂conj(z)|``
-    — ~0 for holomorphic maps, ``2|c|`` for ``f = g + c·conj(z)``.
+    ``|-4i f(z0) + (1+i) f(z0+h) + (i-1) f(z0-h) + 2i f(z0+ih)| / (2h scale)``
+    with ``scale = max(|f| over z0 ± h and z0 + ih, 1)``. Approximates
+    ``2|∂f/∂conj(z)|`` — O(h²) for holomorphic maps, ``2|c|`` for
+    ``f = g + c·conj(z)``. No point lies below ``z0``.
     """
     z0 = complex(z0)
     if h is None:
@@ -193,9 +198,10 @@ def certify_point(stack: StackSpec, kappa, omega, z0: float | None = None,
 
     Records the smallest eigenvalue of ``Im`` of the tangential compression,
     the worst CR residual in frequency over the compression entries (shared
-    :data:`CR_OFFSETS` stencil of width ``step``, default
-    :func:`default_cr_step`, kept inside the upper half-plane), and the
-    condition estimate of the pivotal transfer block.
+    four-point :data:`CR_OFFSETS` stencil ``omega``, ``omega ± h``,
+    ``omega + ih`` with ``h = step``, default :func:`default_cr_step`; see
+    :func:`cr_residual`), and the condition estimate of the pivotal transfer
+    block.
     """
     return next(_certified_points(stack, kappa, [omega], z0, z1, step))
 
@@ -312,8 +318,9 @@ def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
     ------
     ParameterError
         Unless ``tensor_index`` is an integer in ``[0, 2P)``, ``row`` and
-        ``col`` integers in ``[0, 3)`` and ``entry`` a pair of integers in
-        ``[0, 6)``.
+        ``col`` integers in ``[0, 3)`` and ``entry`` a pair of tangential
+        indices (0, 1, 3, 4): rows and columns 2 and 5 of the operator are
+        identically zero, so their residual could not fail.
     DomainError
         If a base tensor's imaginary part is not positive definite, or the
         step is so large a perturbed imaginary part loses definiteness.
@@ -327,10 +334,12 @@ def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
     _index(tensor_index, "tensor_index", 2 * P)
     _index(row, "row", 3)
     _index(col, "col", 3)
-    if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
-        raise ParameterError(f"entry must be a pair of integers in [0, 6), got {entry!r}")
-    for e in entry:
-        _index(e, "entry", 6)
+    tangential = tuple(TANGENTIAL_INDICES.tolist())
+    if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and all(
+            isinstance(e, (int, np.integer)) and not isinstance(e, bool) and e in tangential
+            for e in entry)):
+        raise ParameterError(f"entry must be a pair of tangential indices, each one of "
+                             f"{tangential}, got {entry!r}")
     bad = np.flatnonzero(min_im_eig(np.stack(Z)) <= 0.0)
     if bad.size:
         raise DomainError(f"Im Z[{bad[0]}] must be positive definite at the base point")

@@ -95,10 +95,11 @@ def _v_blocks(omega_eps: np.ndarray, omega_mu: np.ndarray, kappa, c: float):
 
 def _normal_entry_vanishes(V: np.ndarray) -> bool:
     """Whether some ``V[..., 2, 2]`` is at or below eps times the largest entry
-    of its own 3×3 tensor (``V`` C-contiguous). An entry's size is
-    max(|Re|, |Im|) and eps is a power of two, so nothing overflows or
-    rounds; one elementwise comparison covers the whole batch."""
-    flat, eps = V.view(float), np.finfo(float).eps
+    of its own 3×3 tensor (``V`` of any strides: one that is not C-contiguous
+    is read from a contiguous copy). An entry's size is max(|Re|, |Im|) and
+    eps is a power of two, so nothing overflows or rounds; one elementwise
+    comparison covers the whole batch."""
+    flat, eps = np.ascontiguousarray(V).view(float), np.finfo(float).eps
     normal = np.maximum(np.abs(flat[..., 2, 4]), np.abs(flat[..., 2, 5]))
     # no tensor can fail when every normal entry beats eps times the batch's
     # largest entry: two reductions without a temporary decide most batches

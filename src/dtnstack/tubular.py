@@ -267,8 +267,8 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
         CR-residual threshold. The verdict is "no anomaly": a worst residual
         not below it, or a sample with ``Im <= 0``, records one.
     step : float, optional
-        CR stencil width (default ``1e-4·max(1, |s|)``), clamped to
-        ``Im s / 2`` at each point.
+        CR stencil width ``h`` (default ``1e-4·max(1, |s|)``) of the
+        four-point stencil ``s``, ``s ± h``, ``s + ih`` at each point.
     layers : int
         Layer count of the stacks ``builder`` propagates (a positive integer,
         else :class:`ParameterError`); it sizes the chunks

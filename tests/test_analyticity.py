@@ -71,6 +71,47 @@ def test_cr_residual_detects_contamination():
     assert res == pytest.approx(2 * c, rel=1e-2)
 
 
+def _five_point_residual(fn, z0, h):
+    """The central-difference estimate on z0 ± h, z0 ± ih, with the scale
+    max(|f| over those four points, 1): a reference for the stencil."""
+    fp, fm, fip, fim = (complex(fn(z0 + h * o)) for o in (1, -1, 1j, -1j))
+    deriv = (fp - fm) / (2 * h) + 1j * (fip - fim) / (2 * h)
+    return abs(deriv) / max(abs(fp), abs(fm), abs(fip), abs(fim), 1.0)
+
+
+def test_cr_residual_truncation_falls_as_h_squared():
+    # the stencil annihilates 1, z - z0 and (z - z0)^2, so on a holomorphic
+    # function its residual halves twice per halved step; the point lies
+    # closer to the real axis than the widest step
+    def g(z):
+        return np.exp(3 * z) / (z + 2j)
+
+    r = [cr_residual(g, 0.3 + 0.01j, h) for h in (1e-2, 5e-3, 2.5e-3)]
+    assert r[0] / r[1] == pytest.approx(4.0, rel=0.03)
+    assert r[1] / r[2] == pytest.approx(4.0, rel=0.03)
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4])
+def test_cr_residual_reads_a_conj_term_as_the_five_point_stencil(h):
+    # f = g + c conj(z): both stencils read 2|c| times the scale
+    # normalisation, and they agree to their O(h^2) truncation
+    def f(z):
+        return np.exp(3 * z) / (z + 2j) + 0.05 * np.conj(z)
+
+    z0 = 0.3 + 0.01j
+    assert cr_residual(f, z0, h) == pytest.approx(_five_point_residual(f, z0, h), rel=1e-4)
+    if h == 1e-3:
+        assert cr_residual(f, z0, h) == pytest.approx(0.08217, abs=1e-5)
+
+
+def test_cr_offsets_lie_in_the_closed_upper_half_plane():
+    # no stencil point lies below its centre, whatever the step
+    assert len(CR_OFFSETS) == 4 and CR_OFFSETS[0] == 0
+    assert np.all(CR_OFFSETS.imag >= 0)
+    stencil, h = analyticity._stencil(1.0 + 1e-14j, 2e-5)
+    assert h == 2e-5 and np.all(stencil.imag >= 1e-14)
+
+
 def test_cr_residual_parameter_checks():
     with pytest.raises(ParameterError):
         cr_residual(np.exp, 0.0, h=0.0)
@@ -461,9 +502,12 @@ def test_slice_analyticity_rejects_nonpassive_base(rng):
 
 
 def test_slice_analyticity_rejects_oversized_step(rng):
+    # the stencil's +ih offset along the Hermitian direction of an
+    # off-diagonal entry adds an indefinite imaginary part (along a diagonal
+    # unit it only raises Im Z, which cannot leave the passive cone)
     s = _two_phase_stack(rng)
-    with pytest.raises(DomainError):
-        slice_analyticity(s, 1j, (0.0, 0.0), 0, 0, 0, step=50.0)
+    with pytest.raises(DomainError, match="decrease the step"):
+        slice_analyticity(s, 1j, (0.0, 0.0), 0, 0, 1, step=50.0)
 
 
 def test_slice_analyticity_validates_indices(rng):
@@ -490,6 +534,15 @@ def test_slice_analyticity_requires_integer_indices(rng, kwargs, name):
     args = dict(tensor_index=0, row=0, col=0) | kwargs
     with pytest.raises(ParameterError, match=name):
         slice_analyticity(s, 1j, (0.0, 0.0), **args)
+
+
+@pytest.mark.parametrize("entry", [(5, 0), (2, 1)])
+def test_slice_analyticity_rejects_a_normal_entry(rng, entry):
+    # rows and columns 2 and 5 of Lambda are identically zero, so a slice
+    # watching one would read a residual of 0.0 whatever the operator did
+    s = _two_phase_stack(rng)
+    with pytest.raises(ParameterError, match="entry must be a pair of tangential indices"):
+        slice_analyticity(s, 1j, (0.0, 0.0), 0, 0, 0, entry=entry)
 
 
 def test_wavevector_slice_is_analytic(rng):

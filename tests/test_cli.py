@@ -511,8 +511,8 @@ def test_trajectory_command(tmp_path):
 def test_trajectory_mat_exp_calls_stay_within_the_matrix_budget(tmp_path, monkeypatch):
     # 64 layers of two alternating phases on a 10-point s-grid: a chunk of
     # k s-points hands mat_exp k * len(CR_OFFSETS) * 64 layer matrices, at
-    # most MAT_EXP_BATCH (3 s-points, 960 matrices); a fixed 8 s-points per
-    # chunk would hand it 2,560
+    # most MAT_EXP_BATCH (4 s-points, 1,024 matrices); a fixed 8 s-points per
+    # chunk would hand it 2,048
     import dtnstack.transfer as T
     from dtnstack.analyticity import CR_OFFSETS
     from dtnstack.linalg import MAT_EXP_BATCH
@@ -547,6 +547,46 @@ def test_trajectory_mat_exp_calls_stay_within_the_matrix_budget(tmp_path, monkey
     # every chunk but the last is full: one more s-point would not fit
     assert all(n + per_point > MAT_EXP_BATCH for n in chunks[:-1])
     assert len(chunks) > 1
+
+
+def test_certify_sends_four_stencil_points_per_grid_point_and_layer(tmp_path, monkeypatch):
+    # the stencil's centre is the grid point itself, so each grid point
+    # propagates its layers at four frequencies, not five
+    import dtnstack.transfer as T
+
+    doc = json.loads(VACUUM.read_text())
+    vacuum = doc["stack"]["layers"][0]["material"]
+    doc["stack"]["layers"] = [{"thickness": 0.5, "material": vacuum} for _ in range(3)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    mat_exp, sizes = T.mat_exp, []
+
+    def counting(*args):
+        P = mat_exp(*args)
+        sizes.append(math.prod(P.shape[:-2]))
+        return P
+
+    monkeypatch.setattr(T, "mat_exp", counting)
+    assert run_cli(["certify", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    points = len(json.loads((tmp_path / "out" / "report.json").read_text())["results"]["grid"])
+    assert points == 6
+    assert sum(sizes) == 4 * points * 3
+
+
+@pytest.mark.parametrize("im", [1e-10, 1e-12, 1e-14])
+def test_certify_passes_the_vacuum_slab_near_the_real_axis(tmp_path, capsys, im):
+    # no stencil point lies below omega, so the step keeps its default width
+    # however close omega comes to the real axis, and the rounding floor of
+    # the residual stays far below the tolerance
+    doc = json.loads(VACUUM.read_text())
+    doc["omega_grid"] = dict(re_min=1.0, re_max=1.0, re_steps=1,
+                             im_min=im, im_max=im, im_steps=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["certify", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    assert "[certify] PASS" in capsys.readouterr().out
+    res = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    assert res["worst_cr"] < 1e-6
 
 
 def test_trajectory_honours_cr_step(tmp_path):

@@ -233,6 +233,24 @@ def test_propagate_with_phase_index_needs_one_mu_tensor_per_eps_phase():
     assert T.shape == (4, 4)
 
 
+@pytest.mark.parametrize("phase_of_layer", [None, [0, 1, 0]])
+def test_propagate_accepts_tensors_of_any_strides(rng, phase_of_layer):
+    # swapped last axes are views that are not C-contiguous; they used to
+    # raise a bare ValueError from the normal-entry check's float view
+    n = 3 if phase_of_layer is None else 2
+    omegas = [rand_omega(rng) for _ in range(2)]
+    eps = np.stack([[w * rand_posdef(rng) for _ in range(n)] for w in omegas])
+    mu = np.stack([[w * rand_posdef(rng) for _ in range(n)] for w in omegas])
+    eps_t, mu_t = np.swapaxes(eps, -1, -2), np.swapaxes(mu, -1, -2)
+    assert not (eps_t.flags.c_contiguous or mu_t.flags.c_contiguous)
+    args = ([0.5, 0.2, 0.3], rand_kappa(rng))
+    T = propagate(args[0], eps_t, mu_t, args[1], phase_of_layer=phase_of_layer)
+    T_copy = propagate(args[0], np.ascontiguousarray(eps_t), np.ascontiguousarray(mu_t),
+                       args[1], phase_of_layer=phase_of_layer)
+    assert T.shape == (2, 4, 4)
+    assert np.array_equal(T, T_copy)
+
+
 def test_field_profile_continuity_and_endpoints(rng):
     s = rand_stack(rng, max_layers=4)
     kap, om = rand_kappa(rng), rand_omega(rng)

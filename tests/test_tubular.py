@@ -306,13 +306,14 @@ def test_herglotz_along_trajectory_raises_from_last_chunk(rng, monkeypatch):
     assert calls == [(POINTS_PER_CALL, n), (2, n), (1, n), (1, n)]
 
 
-@pytest.mark.parametrize("layers, per_call", [(1, 204), (2, 102), (64, 3), (300, 1)])
+@pytest.mark.parametrize("layers", [1, 2, 64, 300])
 def test_herglotz_along_trajectory_chunk_holds_at_most_the_matrix_budget(
-        rng, monkeypatch, layers, per_call):
+        rng, monkeypatch, layers):
     # k s-points times the stencil times the builder's layers stay within
     # MAT_EXP_BATCH = 1024, one s-point per call at least; the builder here
     # propagates two layers whatever it is told, so only the calls are checked
     monkeypatch.setattr(analyticity, "MAT_EXP_BATCH", 1024)
+    per_call = max(1, 1024 // (len(CR_OFFSETS) * layers))
     spec, builder = _two_layer_trajectory(rng)
     s_grid = [complex(0.01 * k, 1.0) for k in range(per_call + 1)]
     calls = []
