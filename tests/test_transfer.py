@@ -243,10 +243,10 @@ def test_propagate_accepts_tensors_of_any_strides(rng, phase_of_layer):
     mu = np.stack([[w * rand_posdef(rng) for _ in range(n)] for w in omegas])
     eps_t, mu_t = np.swapaxes(eps, -1, -2), np.swapaxes(mu, -1, -2)
     assert not (eps_t.flags.c_contiguous or mu_t.flags.c_contiguous)
-    args = ([0.5, 0.2, 0.3], rand_kappa(rng))
-    T = propagate(args[0], eps_t, mu_t, args[1], phase_of_layer=phase_of_layer)
-    T_copy = propagate(args[0], np.ascontiguousarray(eps_t), np.ascontiguousarray(mu_t),
-                       args[1], phase_of_layer=phase_of_layer)
+    t, kap = [0.5, 0.2, 0.3], rand_kappa(rng)
+    T = propagate(t, eps_t, mu_t, kap, phase_of_layer=phase_of_layer)
+    T_copy = propagate(t, np.ascontiguousarray(eps_t), np.ascontiguousarray(mu_t), kap,
+                       phase_of_layer=phase_of_layer)
     assert T.shape == (2, 4, 4)
     assert np.array_equal(T, T_copy)
 
