@@ -19,7 +19,6 @@ from .dtn import (
     FluxForm,
     GammaMatrix,
     WellDefinedCertificate,
-    apply_dtn,
     check_well_defined,
     dtn_from_tensors,
     energy_balance,
@@ -46,7 +45,6 @@ from .herglotz import (
     MaterialSpec,
     PassivityCertificate,
     eval_herglotz,
-    make_constant,
     make_drude,
     passivity_check,
     vacuum_material,
@@ -56,7 +54,6 @@ from .linalg import (
     hermitian_parts,
     inverse,
     mat_exp,
-    split_blocks,
 )
 from .report import PACKAGE_VERSION as __version__
 from .stack import Layer, StackSpec, locate, make_sandwich, parse_stack
@@ -71,11 +68,9 @@ from .transfer import (
 from .tubular import (
     TrajectorySpec,
     basis,
-    cone_member,
     herglotz_along_trajectory,
     phi,
     phi_inv,
-    self_duality_check,
     trajectory_coeffs,
     trajectory_point,
     trajectory_roundtrip,

@@ -55,8 +55,11 @@ def default_cr_step(z0: complex) -> float:
 
 def _stencil(z: complex, step: float | None = None) -> tuple[np.ndarray, float]:
     """The CR stencil ``z + h * CR_OFFSETS`` and its step ``h = step``
-    (default :func:`default_cr_step`); no stencil point lies below ``z``."""
+    (default :func:`default_cr_step`); no stencil point lies below ``z``.
+    Raises :class:`ParameterError` unless ``h`` is finite and positive."""
     h = default_cr_step(z) if step is None else float(step)
+    if not 0.0 < h < np.inf:
+        raise ParameterError(f"stencil step must be finite and > 0, got {step}")
     return z + h * CR_OFFSETS, h
 
 
@@ -79,14 +82,11 @@ def cr_residual(fn: Callable[[complex], complex], z0, h: float | None = None) ->
     ``|-4i f(z0) + (1+i) f(z0+h) + (i-1) f(z0-h) + 2i f(z0+ih)| / (2h scale)``
     with ``scale = max(|f| over z0 ± h and z0 + ih, 1)``. Approximates
     ``2|∂f/∂conj(z)|`` — O(h²) for holomorphic maps, ``2|c|`` for
-    ``f = g + c·conj(z)``. No point lies below ``z0``.
+    ``f = g + c·conj(z)``. No point lies below ``z0``. Raises
+    :class:`ParameterError` unless ``h`` is finite and positive.
     """
-    z0 = complex(z0)
-    if h is None:
-        h = default_cr_step(z0)
-    if not (h > 0):
-        raise ParameterError(f"stencil step must be > 0, got {h}")
-    return float(_stencil_residual([complex(fn(z)) for z in z0 + h * CR_OFFSETS], h))
+    stencil, h = _stencil(complex(z0), h)
+    return float(_stencil_residual([complex(fn(z)) for z in stencil], h))
 
 
 def scalar_sample(L: DtnMap, f):
@@ -232,7 +232,8 @@ def herglotz_certify(stack: StackSpec, kappa, grid: Sequence[complex],
     compression at any grid point, or a worst CR residual not below
     ``cr_tol``, each records one. Each chunk of grid points,
     with the stencil (:data:`CR_OFFSETS`) of each, is one resolve, propagate
-    and certify pass. ``step`` overrides the per-point default CR stencil width.
+    and certify pass. ``step`` overrides the per-point default CR stencil width
+    (finite and positive, else :class:`ParameterError`).
     A response model that is not finite anywhere in a chunk raises before
     any point of that chunk is propagated, so it is reported ahead of a
     propagation error at an earlier point of the chunk; propagation and
@@ -318,9 +319,10 @@ def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
     ------
     ParameterError
         Unless ``tensor_index`` is an integer in ``[0, 2P)``, ``row`` and
-        ``col`` integers in ``[0, 3)`` and ``entry`` a pair of tangential
-        indices (0, 1, 3, 4): rows and columns 2 and 5 of the operator are
-        identically zero, so their residual could not fail.
+        ``col`` integers in ``[0, 3)``, ``step`` finite and positive, and
+        ``entry`` a pair of tangential indices (0, 1, 3, 4): rows and columns
+        2 and 5 of the operator are identically zero, so their residual could
+        not fail.
     DomainError
         If a base tensor's imaginary part is not positive definite, or the
         step is so large a perturbed imaginary part loses definiteness.
@@ -343,9 +345,7 @@ def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
     bad = np.flatnonzero(min_im_eig(np.stack(Z)) <= 0.0)
     if bad.size:
         raise DomainError(f"Im Z[{bad[0]}] must be positive definite at the base point")
-    h = float(step)
-    if not h > 0:
-        raise ParameterError(f"step must be > 0, got {step}")
+    offsets, h = _stencil(0.0, step)
 
     D = np.zeros((1 if row == col else 2, 3, 3), dtype=complex)
     if row == col:
@@ -353,7 +353,7 @@ def slice_analyticity(stack: StackSpec, omega, kappa, tensor_index: int,
     else:
         D[:, (row, col), (col, row)] = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)
     Zt = list(Z)
-    Zt[tensor_index] = Z[tensor_index] + (h * CR_OFFSETS)[:, None, None] * D[:, None]
+    Zt[tensor_index] = Z[tensor_index] + offsets[:, None, None] * D[:, None]
     if np.any(min_im_eig(Zt[tensor_index]) <= 0.0):
         raise DomainError(f"step {h} pushes Im Z[{tensor_index}] out of positive "
                           f"definiteness; decrease the step")

@@ -26,11 +26,11 @@ from .exceptions import DomainError, GeometryError, NumericRangeError
 from .herglotz import PassivityCertificate, passivity_anomalies, passivity_check
 from .linalg import (
     SINGULAR_CONDITION_LIMIT,
+    as_cmatrix,
     condition_1norm,
     hermitian_parts,
     inverse,
     min_im_eig,
-    split_blocks,
 )
 from .stack import StackSpec, locate
 from .transfer import (
@@ -64,7 +64,6 @@ __all__ = [
     "lambda_map",
     "dtn",
     "dtn_from_tensors",
-    "apply_dtn",
     "energy_balance",
 ]
 
@@ -123,7 +122,8 @@ def flux_block_expression(T) -> np.ndarray:
     Agrees with :func:`flux_form` entrywise (identically in exact
     arithmetic).
     """
-    T11, T12, T21, T22 = split_blocks(_as_transfer_matrix(T))
+    M = as_cmatrix(_as_transfer_matrix(T), "T", shape=(4, 4))
+    T11, T12, T21, T22 = M[:2, :2], M[:2, 2:], M[2:, :2], M[2:, 2:]
     rs = RHO.conj().T
     re = lambda M: (M + M.conj().T) / 2.0
     F11 = 2.0 * re(T11.conj().T @ rs @ T21)
@@ -218,19 +218,12 @@ class DtnMap:
     ``matrix`` is 6×6 acting on stacked 3-vectors (top face first); rows and
     columns 3 and 6 are identically zero because both the inputs and outputs
     are tangential. A batch of operators has ``matrix`` of shape
-    ``(..., 6, 6)``; ``blocks`` and ``tangential_compression`` index the last
-    two axes.
+    ``(..., 6, 6)``; ``tangential_compression`` indexes the last two axes.
     """
 
     z0: float
     z1: float
     matrix: np.ndarray
-
-    @property
-    def blocks(self):
-        M = self.matrix
-        return (M[..., :3, :3].copy(), M[..., :3, 3:].copy(),
-                M[..., 3:, :3].copy(), M[..., 3:, 3:].copy())
 
     @property
     def tangential_compression(self) -> np.ndarray:
@@ -408,30 +401,6 @@ def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0, z_min: float = 0.0
     """
     t, we, wm = zip(*layer_tensors)
     return _tensor_dtn(t, range(len(t)), we + wm, kappa, c, z_min, True)
-
-
-def apply_dtn(L: DtnMap, f_top, f_bottom) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the boundary operator to a pair of tangential traces.
-
-    Parameters
-    ----------
-    L : DtnMap
-    f_top, f_bottom : array_like
-        Tangential 3-vectors ``E×n`` at the top and bottom faces (third
-        component must vanish).
-
-    Returns
-    -------
-    (g_top, g_bottom) : numpy.ndarray
-        The tangential outputs ``i n×H×n`` at the two faces.
-    """
-    ft = np.asarray(f_top, dtype=complex).reshape(3)
-    fb = np.asarray(f_bottom, dtype=complex).reshape(3)
-    scale = max(float(np.linalg.norm(ft)), float(np.linalg.norm(fb)), 1.0)
-    if max(abs(ft[2]), abs(fb[2])) > 1e-13 * scale:
-        raise DomainError("traces must be tangential (zero third component)")
-    g = L.matrix @ np.concatenate([ft, fb])
-    return g[..., :3], g[..., 3:]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ __all__ = [
     "eval_herglotz",
     "eval_responses",
     "make_drude",
-    "make_constant",
     "vacuum_material",
     "passivity_check",
     "passivity_anomalies",
@@ -246,11 +245,6 @@ def make_drude(plasma_freq: float, collision_rate: float, dim: int = 1) -> Drude
     return DrudeModel(float(plasma_freq), float(collision_rate), int(dim))
 
 
-def make_constant(value) -> ConstantModel:
-    """Frequency-independent tensor model with response ``z·value``."""
-    return ConstantModel(np.asarray(value, dtype=complex))
-
-
 @dataclass(frozen=True)
 class MaterialSpec:
     """Electric and magnetic response models of one material, both 3×3."""
@@ -268,7 +262,7 @@ class MaterialSpec:
 def vacuum_material(label: str = "vacuum") -> MaterialSpec:
     """Material with identity permittivity and permeability tensors."""
     eye = np.eye(3, dtype=complex)
-    return MaterialSpec(label, make_constant(eye), make_constant(eye))
+    return MaterialSpec(label, ConstantModel(eye), ConstantModel(eye))
 
 
 class PassivityCertificate(NamedTuple):

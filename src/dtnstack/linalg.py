@@ -25,7 +25,6 @@ __all__ = [
     "mat_exp",
     "inverse",
     "condition_1norm",
-    "split_blocks",
 ]
 
 #: 1-norm condition number beyond which inversions are refused
@@ -280,20 +279,4 @@ def inverse(A, name: str = "matrix") -> np.ndarray:
             condition=cond,
         )
     return inv
-
-
-def split_blocks(M) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split an even-sized square matrix into its four half-size blocks.
-
-    Returns ``(M11, M12, M21, M22)`` with respect to the splitting of the
-    coordinates into first half ⊕ second half (for 4×4 inputs: the two
-    2×2-block rows/columns).
-    """
-    A = as_cmatrix(M, "M", square=True)
-    n = A.shape[0]
-    if n % 2:
-        raise DimensionError(f"block split needs even size, got {n}")
-    h = n // 2
-    return (A[:h, :h].copy(), A[:h, h:].copy(),
-            A[h:, :h].copy(), A[h:, h:].copy())
 

@@ -1,10 +1,9 @@
-"""Hermitian coordinates, the positive-semidefinite cone, and trajectories.
+"""Hermitian coordinates and trajectories through the tube.
 
 The space of N×N Hermitian matrices is identified with ``R^{N²}`` through the
 isometry ``phi`` (``Tr(AB) = phi(A)·phi(B)``); matrices with positive-definite
 imaginary part form the tube ``R^{N²} + i·(interior PSD cone)`` in these
-coordinates. The PSD cone is closed, convex, acute, and self-dual — probed
-numerically here by sampling.
+coordinates.
 
 Trajectories: any tensor ``L`` with ``Im L > 0`` is the ``s = i`` point of the
 curve ``L'(s) = L0 - (A + sB)^{-1}`` with ``A = Re (L0-L)^{-1}`` and
@@ -29,10 +28,6 @@ __all__ = [
     "phi",
     "phi_inv",
     "basis",
-    "cone_member",
-    "self_duality_check",
-    "ConeMembership",
-    "SelfDualityReport",
     "TrajectorySpec",
     "trajectory_coeffs",
     "trajectory_point",
@@ -75,61 +70,6 @@ def basis(n: int) -> np.ndarray:
     if n < 1:
         raise ParameterError(f"dimension must be >= 1, got {n}")
     return np.array([phi_inv(e) for e in np.eye(n * n)])
-
-
-class ConeMembership(NamedTuple):
-    """PSD-cone membership verdicts with the eigenvalue margin."""
-
-    in_closed: bool
-    in_interior: bool
-    margin: float
-
-
-def cone_member(H) -> ConeMembership:
-    """Membership of a Hermitian matrix in the PSD cone.
-
-    ``in_closed`` iff the smallest eigenvalue is ``>= 0``; ``in_interior``
-    iff it is ``> 0``. The margin is the smallest eigenvalue itself.
-    """
-    A = _require_hermitian(H, "H")
-    margin = float(np.linalg.eigvalsh(A)[0])
-    return ConeMembership(margin >= 0.0, margin > 0.0, margin)
-
-
-class SelfDualityReport(NamedTuple):
-    """Sampling evidence for self-duality of the PSD cone."""
-
-    consistent: bool
-    min_pairing: float
-    witness: np.ndarray | None
-
-
-def self_duality_check(H, seed: int = 0) -> SelfDualityReport:
-    """Probe ``H ⪰ 0  ⟺  Tr(H B) ≥ 0 for all B ⪰ 0`` by sampling.
-
-    For ``H`` in the cone (smallest eigenvalue above ``-1e-12`` relative):
-    pairs against 200 random PSD samples and reports the smallest pairing
-    (consistency requires it above ``-1e-12`` relative).
-    For ``H`` outside: returns the rank-one eigenvector witness ``v v*`` with
-    ``Tr(H v v*) < 0``, confirming the dual separation.
-    """
-    A = _require_hermitian(H, "H")
-    n = A.shape[0]
-    eigs, vecs = np.linalg.eigh(A)
-    scale = max(float(np.max(np.abs(eigs))), 1.0)
-    if eigs[0] >= -_PSD_RTOL * scale:
-        rng = np.random.default_rng(seed)
-        worst = np.inf
-        for _ in range(200):
-            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            B = G.conj().T @ G
-            B /= max(np.trace(B).real, 1.0)
-            worst = min(worst, float(np.trace(A @ B).real))
-        return SelfDualityReport(worst >= -_PSD_RTOL * scale, worst, None)
-    v = vecs[:, 0]
-    witness = np.outer(v, v.conj())
-    pairing = float(np.trace(A @ witness).real)
-    return SelfDualityReport(pairing < 0.0, pairing, witness)
 
 
 @dataclass(frozen=True)
@@ -268,7 +208,8 @@ def herglotz_along_trajectory(builder: Callable[[Sequence[np.ndarray]], DtnMap],
         not below it, or a sample with ``Im <= 0``, records one.
     step : float, optional
         CR stencil width ``h`` (default ``1e-4·max(1, |s|)``) of the
-        four-point stencil ``s``, ``s ± h``, ``s + ih`` at each point.
+        four-point stencil ``s``, ``s ± h``, ``s + ih`` at each point;
+        finite and positive, else :class:`ParameterError`.
     layers : int
         Layer count of the stacks ``builder`` propagates (a positive integer,
         else :class:`ParameterError`); it sizes the chunks

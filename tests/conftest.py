@@ -10,8 +10,3 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
-
-
-@pytest.fixture
-def rng2():
-    return np.random.default_rng(911)

@@ -171,13 +171,6 @@ def gamma_oracle(T, u1, u0):
     return np.concatenate([v1, v0])
 
 
-def midpoint_integral(fn, a, b, n):
-    """Plain composite midpoint rule (used to cross-check quadrature)."""
-    h = (b - a) / n
-    zs = a + (np.arange(n) + 0.5) * h
-    return h * sum(fn(z) for z in zs)
-
-
 def power_sums_oracle(a, d, count, s_max, dps=50):
     """``sum_k (a + k d)^s`` over ``k < count`` for ``s = 0 .. s_max``, as
     ``dps``-digit ``mpmath`` numbers: the doubles ``a`` and ``d`` are exact

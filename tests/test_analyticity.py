@@ -14,12 +14,14 @@ from dtnstack import (
     certify_point,
     cr_residual,
     dtn_from_tensors,
+    herglotz_along_trajectory,
     herglotz_certify,
     make_drude,
     make_sandwich,
     omega_grid_points,
     scalar_sample,
     slice_analyticity,
+    trajectory_coeffs,
 )
 from dtnstack import analyticity
 from dtnstack.dtn import _gamma_matrix, _lambda_matrix, dtn
@@ -112,11 +114,35 @@ def test_cr_offsets_lie_in_the_closed_upper_half_plane():
     assert h == 2e-5 and np.all(stencil.imag >= 1e-14)
 
 
-def test_cr_residual_parameter_checks():
-    with pytest.raises(ParameterError):
-        cr_residual(np.exp, 0.0, h=0.0)
-    with pytest.raises(ParameterError):
-        cr_residual(np.exp, 0.0, h=-1e-3)
+def _trajectory_certificate(step):
+    spec = trajectory_coeffs(np.zeros((3, 3)), [1j * np.eye(3), 1j * np.eye(3)])
+
+    def builder(tensors):
+        we, wm = tensors
+        return dtn_from_tensors([(1.0, we, wm)], (0.0, 0.0))[0]
+
+    return herglotz_along_trajectory(builder, spec, np.array([1.0, 0, 0, 0, 0, 0]),
+                                     [0.2 + 1e-6j], step=step)
+
+
+#: every entry point that builds a CR stencil, called with step ``h``
+STENCIL_ENTRY_POINTS = {
+    "cr_residual": lambda h: cr_residual(np.exp, 0.0, h=h),
+    "slice_analyticity": lambda h: slice_analyticity(vacuum_slab(), 1j, (0.0, 0.0),
+                                                     0, 0, 0, step=h),
+    "herglotz_certify": lambda h: herglotz_certify(vacuum_slab(), (0.0, 0.0),
+                                                   [1 + 1e-6j], step=h),
+    "herglotz_along_trajectory": _trajectory_certificate,
+}
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(STENCIL_ENTRY_POINTS))
+def test_stencil_step_must_be_finite_and_positive(entry, step):
+    # one check in _stencil: a negative step would sample below the point,
+    # zero or inf would divide into a stray RuntimeWarning
+    with pytest.raises(ParameterError, match="stencil step must be finite and > 0"):
+        STENCIL_ENTRY_POINTS[entry](step)
 
 
 def test_default_cr_step():

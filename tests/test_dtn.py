@@ -4,13 +4,14 @@ import pytest
 import dtnstack.transfer as transfer_module
 from dtnstack import (
     ConstantModel,
+    DimensionError,
     DomainError,
     GeometryError,
     Layer,
     MaterialSpec,
+    NumericRangeError,
     SingularMatrixError,
     StackSpec,
-    apply_dtn,
     check_well_defined,
     dtn_from_tensors,
     energy_balance,
@@ -71,6 +72,14 @@ def test_flux_block_expression_matches_direct(rng):
         T = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert np.allclose(flux_block_expression(T), flux_form(T).matrix,
                            atol=1e-12)
+    # the input checks of the block slicing
+    with pytest.raises(DimensionError):
+        flux_block_expression(np.zeros((2, 4, 4), dtype=complex))
+    T[1, 2] = np.nan
+    with pytest.raises(NumericRangeError):
+        flux_block_expression(T)
+    with pytest.raises(GeometryError):
+        flux_block_expression(np.eye(3))
 
 
 def test_flux_vanishes_for_lossless_rotation():
@@ -310,7 +319,6 @@ def test_dtn_from_tensors_batch_matches_single_entries(rng):
     L, certs = dtn_from_tensors(batched, kap, c=s.c, z_min=s.z_min)
     assert L.matrix.shape == (5, 6, 6)
     assert L.tangential_compression.shape == (5, 4, 4)
-    assert [b.shape for b in L.blocks] == [(5, 3, 3)] * 4
     assert len(certs) == 5
     for k, layers in enumerate(per):
         Lk, (ck,) = dtn_from_tensors(layers, kap, c=s.c, z_min=s.z_min)
@@ -334,7 +342,7 @@ def test_dtn_from_tensors_batch_guards_every_entry(rng):
         dtn_from_tensors([(d, we, wm)] + layers[1:], rand_kappa(rng), c=s.c)
 
 
-def test_apply_dtn_defining_relation(rng):
+def test_dtn_defining_relation(rng):
     # The boundary operator reproduces the trace relation of an actual
     # solution: for psi propagated across the stack,
     #   f_top = (psi2, -psi1, 0) at z1, f_bot = (-psi2, psi1, 0) at z0
@@ -348,17 +356,11 @@ def test_apply_dtn_defining_relation(rng):
         psi1 = transfer(s, kap, om, s.z_min, s.z_max).matrix @ psi0
         f_top = np.array([psi1[1], -psi1[0], 0.0])
         f_bot = np.array([-psi0[1], psi0[0], 0.0])
-        g_top, g_bot = apply_dtn(L, f_top, f_bot)
-        assert np.allclose(g_top, 1j * np.array([psi1[2], psi1[3], 0.0]),
+        g = L.matrix @ np.concatenate([f_top, f_bot])
+        assert np.allclose(g[:3], 1j * np.array([psi1[2], psi1[3], 0.0]),
                            rtol=1e-9, atol=1e-11)
-        assert np.allclose(g_bot, 1j * np.array([psi0[2], psi0[3], 0.0]),
+        assert np.allclose(g[3:], 1j * np.array([psi0[2], psi0[3], 0.0]),
                            rtol=1e-9, atol=1e-11)
-
-
-def test_apply_dtn_rejects_normal_component():
-    L, _ = dtn(vacuum_slab(), (0.0, 0.0), 1j, -1.0, 1.0)
-    with pytest.raises(DomainError):
-        apply_dtn(L, (1.0, 0.0, 0.2), (0.0, 1.0, 0.0))
 
 
 # ------------------------------------------------------------- energy balance

@@ -8,7 +8,6 @@ from dtnstack import (
     HerglotzModel,
     ParameterError,
     eval_herglotz,
-    make_constant,
     make_drude,
     passivity_check,
     vacuum_material,
@@ -111,7 +110,7 @@ def test_model_constructor_contracts():
 
 def test_constant_model_linear_in_z(rng):
     V = rand_posdef(rng)
-    m = make_constant(V)
+    m = ConstantModel(V)
     z = 0.3 + 0.8j
     assert np.allclose(eval_herglotz(m, z), z * V)
 
@@ -135,7 +134,7 @@ def test_passivity_check_frozen():
 
 
 def test_passivity_check_flags_gain():
-    bad = make_constant(np.diag([1.0, -1.0, 1.0]).astype(complex))
+    bad = ConstantModel(np.diag([1.0, -1.0, 1.0]).astype(complex))
     we = eval_herglotz(bad, 1j)
     wm = 1j * np.eye(3)
     cert = passivity_check(we, wm)

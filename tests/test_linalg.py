@@ -14,7 +14,6 @@ from dtnstack.linalg import (
     inverse,
     mat_exp,
     min_im_eig,
-    split_blocks,
 )
 
 
@@ -228,15 +227,3 @@ def test_inverse_near_singular_raises():
 
 def test_condition_1norm_identity():
     assert condition_1norm(np.eye(3, dtype=complex)) == pytest.approx(1.0)
-
-
-def test_split_join_roundtrip(rng):
-    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    blocks = split_blocks(M)
-    assert blocks[0].shape == (3, 3)
-    assert np.array_equal(np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]]), M)
-
-
-def test_split_blocks_odd_size_rejected():
-    with pytest.raises(DimensionError):
-        split_blocks(np.zeros((3, 3), dtype=complex))

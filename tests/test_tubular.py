@@ -11,14 +11,12 @@ from dtnstack import (
     StackSpec,
     TrajectorySpec,
     basis,
-    cone_member,
     cr_residual,
     dtn_from_tensors,
     herglotz_along_trajectory,
     phi,
     phi_inv,
     scalar_sample,
-    self_duality_check,
     trajectory_coeffs,
     trajectory_point,
     trajectory_roundtrip,
@@ -74,44 +72,6 @@ def test_basis_one_hot_and_gram():
 def test_phi_rejects_nonhermitian():
     with pytest.raises(ContractError):
         phi(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-# ----------------------------------------------------------------- PSD cone
-
-def test_cone_member_frozen():
-    assert cone_member(np.diag([2.0, 1.0])) == (True, True, 1.0)
-    m = cone_member(np.diag([1.0, 0.0]))
-    assert m.in_closed and not m.in_interior
-    assert m.margin == pytest.approx(0.0, abs=1e-15)
-    m = cone_member(np.diag([1.0, -1.0]))
-    assert not m.in_closed and not m.in_interior
-    assert m.margin == pytest.approx(-1.0)
-
-
-def test_self_duality_inside(rng):
-    for _ in range(5):
-        H = rand_posdef(rng)
-        rep = self_duality_check(H)
-        assert rep.consistent
-        assert rep.min_pairing >= 0.0
-        assert rep.witness is None
-
-
-def test_self_duality_outside_witness(rng):
-    H = np.diag([1.0, 1.0, -0.5]).astype(complex)
-    rep = self_duality_check(H)
-    assert rep.consistent
-    assert rep.min_pairing < 0
-    # the witness is PSD and separates H from the cone
-    assert np.linalg.eigvalsh(rep.witness).min() >= -1e-12
-    assert np.trace(H @ rep.witness).real < 0
-
-
-def test_self_duality_deterministic_seed(rng):
-    H = rand_posdef(rng)
-    a = self_duality_check(H, seed=5)
-    b = self_duality_check(H, seed=5)
-    assert a.min_pairing == b.min_pairing
 
 
 # --------------------------------------------------------------- trajectories
