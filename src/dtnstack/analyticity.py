@@ -59,7 +59,7 @@ def _stencil(z: complex, step: float | None = None) -> tuple[np.ndarray, float]:
     Raises :class:`ParameterError` unless ``h`` is finite and positive."""
     h = default_cr_step(z) if step is None else float(step)
     if not 0.0 < h < np.inf:
-        raise ParameterError(f"stencil step must be finite and > 0, got {step}")
+        raise ParameterError(f"stencil step must be finite and > 0, got {h}")
     return z + h * CR_OFFSETS, h
 
 
