@@ -37,6 +37,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,9 +78,6 @@ from .tubular import (
 
 __all__ = ["main", "RunConfig"]
 
-#: commands whose frequencies must lie in the open upper half-plane
-CERTIFICATION_COMMANDS = {"dtn", "certify", "energy", "sweep", "trajectory"}
-
 #: most ``--quad-points`` accepted: ``energy`` costs its anchors, not its
 #: points, and peaks at about 33 MB resident at 2,000 and at 1e6 points alike
 #: (``getrusage`` of one process on ``configs/vacuum_certify.json``), and
@@ -114,7 +112,6 @@ class RunConfig:
     f: np.ndarray
     traj_L0: np.ndarray
     traj_omega: complex
-    echo: dict
 
 
 def parse_run_config(doc: dict, command: str) -> RunConfig:
@@ -146,7 +143,7 @@ def parse_run_config(doc: dict, command: str) -> RunConfig:
         _fail("omega_grid.re_max", "must be >= re_min")
     if im_max < im_min:
         _fail("omega_grid.im_max", "must be >= im_min")
-    if command in CERTIFICATION_COMMANDS and im_min <= 0.0:
+    if _COMMANDS[command].upper_half_plane and im_min <= 0.0:
         _fail("omega_grid.im_min", "must be > 0")
     grid = tuple(omega_grid_points(re_min, re_max, re_steps,
                                    im_min, im_max, im_steps))
@@ -157,7 +154,7 @@ def parse_run_config(doc: dict, command: str) -> RunConfig:
         _fail("z0", f"must lie inside the stack [{stack.z_min}, {stack.z_max}]")
     if not (stack.z_min <= z1 <= stack.z_max):
         _fail("z1", f"must lie inside the stack [{stack.z_min}, {stack.z_max}]")
-    if command in CERTIFICATION_COMMANDS and not z0 < z1:
+    if _COMMANDS[command].upper_half_plane and not z0 < z1:
         _fail("z1", "must be > z0")
 
     psi0 = (_complex_array(doc["psi0"], "psi0", (4,)) if "psi0" in doc
@@ -184,52 +181,51 @@ def parse_run_config(doc: dict, command: str) -> RunConfig:
         traj_omega = grid[0]
 
     return RunConfig(stack, (float(kappa[0]), float(kappa[1])),
-                     grid, z0, z1, psi0, f, L0, traj_omega, doc)
-
-
-def _certificate_json(cert) -> dict:
-    return {**cert.well_defined._asdict(), "passive": cert.passive,
-            "layer_passivity": [p._asdict() for p in cert.layer_passivity],
-            "im_min_eig": cert.im_min_eig}
+                     grid, z0, z1, psi0, f, L0, traj_omega)
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
+def _point(cfg: RunConfig) -> dict:
+    """Where the single-point commands evaluate: the first grid frequency."""
+    return {"omega": cfg.grid[0], "kappa": list(cfg.kappa), "z0": cfg.z0, "z1": cfg.z1}
+
+
+def _grid(cfg: RunConfig, args) -> tuple:
+    """The Herglotz certificate of the frequency grid and the result keys that
+    ``certify`` and ``sweep`` share."""
+    hc = herglotz_certify(cfg.stack, cfg.kappa, cfg.grid, cfg.z0, cfg.z1,
+                          cr_tol=args.tol, step=args.cr_step)
+    return hc, {"min_im_eig": hc.min_im_eig, "worst_cr": hc.worst_cr,
+                "cr_tol": args.tol, "cr_step": args.cr_step}
+
+
 def _cmd_transfer(cfg: RunConfig, args) -> tuple[dict, list]:
-    w = cfg.grid[0]
-    T = transfer(cfg.stack, cfg.kappa, w, cfg.z0, cfg.z1)
-    F = flux_form(T)
-    results = {
-        "omega": w, "kappa": list(cfg.kappa), "z0": cfg.z0, "z1": cfg.z1,
-        "transfer_matrix": T.matrix,
-        "flux_min_eig": F.min_eig,
-    }
-    return results, []
+    T = transfer(cfg.stack, cfg.kappa, cfg.grid[0], cfg.z0, cfg.z1)
+    return {**_point(cfg), "transfer_matrix": T.matrix,
+            "flux_min_eig": flux_form(T).min_eig}, []
 
 
 def _cmd_dtn(cfg: RunConfig, args) -> tuple[dict, list]:
-    w = cfg.grid[0]
-    L, cert = dtn(cfg.stack, cfg.kappa, w, cfg.z0, cfg.z1)
+    L, cert = dtn(cfg.stack, cfg.kappa, cfg.grid[0], cfg.z0, cfg.z1)
     results = {
-        "omega": w, "kappa": list(cfg.kappa), "z0": cfg.z0, "z1": cfg.z1,
+        **_point(cfg),
         "lambda": L.matrix,
         "tangential_compression": L.tangential_compression,
-        "certificate": _certificate_json(cert),
+        "certificate": {**cert.well_defined._asdict(), "passive": cert.passive,
+                        "layer_passivity": [p._asdict() for p in cert.layer_passivity],
+                        "im_min_eig": cert.im_min_eig},
     }
     return results, list(cert.anomalies)
 
 
 def _cmd_certify(cfg: RunConfig, args) -> tuple[dict, list]:
-    hc = herglotz_certify(cfg.stack, cfg.kappa, cfg.grid, cfg.z0, cfg.z1,
-                          cr_tol=args.tol, step=args.cr_step)
+    hc, shared = _grid(cfg, args)
     results = {
+        **shared,
         "grid": [complex(w) for w in hc.grid],
-        "min_im_eig": hc.min_im_eig,
-        "worst_cr": hc.worst_cr,
-        "cr_tol": args.tol,
-        "cr_step": args.cr_step,
         "passed": hc.passed,
         "points": [{k: v for k, v in p._asdict().items() if k != "compression"}
                    for p in hc.points],
@@ -251,8 +247,7 @@ def _cmd_energy(cfg: RunConfig, args) -> tuple[dict, list]:
         anomalies.append(f"relative energy gap {rep.relative_gap:.3e} above the "
                          f"tolerance {args.tol:.3e}")
     results = {
-        "omega": cfg.grid[0], "kappa": list(cfg.kappa),
-        "z0": cfg.z0, "z1": cfg.z1,
+        **_point(cfg),
         "boundary_flux": rep.boundary_flux,
         "absorption_integral": rep.absorption_integral,
         "relative_gap": rep.relative_gap,
@@ -264,30 +259,22 @@ def _cmd_energy(cfg: RunConfig, args) -> tuple[dict, list]:
 
 
 def _cmd_sweep(cfg: RunConfig, args) -> tuple[dict, list]:
-    hc = herglotz_certify(cfg.stack, cfg.kappa, cfg.grid, cfg.z0, cfg.z1,
-                          cr_tol=args.tol, step=args.cr_step)
+    hc, shared = _grid(cfg, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = write_sweep_csv(out / "sweep.csv", hc.points)
-    results = {
-        "n_points": len(hc.points),
-        "csv": csv_path.name,
-        "min_im_eig": hc.min_im_eig,
-        "worst_cr": hc.worst_cr,
-        "cr_tol": args.tol,
-        "cr_step": args.cr_step,
-    }
-    return results, list(hc.anomalies)
+    return {**shared, "n_points": len(hc.points), "csv": csv_path.name}, list(hc.anomalies)
 
 
 def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list]:
     labels, phase_of_layer, Z = phase_tensors(cfg.stack, cfg.traj_omega)
+    shared = {"phases": labels, "omega": cfg.traj_omega, "cr_tol": args.tol,
+              "cr_step": args.cr_step}
     # trajectory_coeffs needs every phase passive: fail as the other commands do
     gain = passivity_anomalies(passivity_check(Z[:len(labels)], Z[len(labels):]),
                                [f"phase {j} ({label!r})" for j, label in enumerate(labels)])
     if gain:
-        return ({"phases": labels, "omega": cfg.traj_omega, "cr_tol": args.tol,
-                 "cr_step": args.cr_step, "passed": not gain}, gain)
+        return {**shared, "passed": False}, gain
     builder = partial(phase_dtn, cfg.stack, cfg.kappa, phase_of_layer)
     spec = trajectory_coeffs(cfg.traj_L0, Z)
     back = trajectory_point(spec, 1j)
@@ -302,28 +289,41 @@ def _cmd_trajectory(cfg: RunConfig, args) -> tuple[dict, list]:
         anomalies.append(f"trajectory round trip deviates by {roundtrip:.3e} "
                          f"from the phase tensors (tolerance 1.000e-12)")
     results = {
-        "phases": labels,
-        "omega": cfg.traj_omega,
+        **shared,
         "roundtrip_deviation": roundtrip,
         "sample_roundtrip_deviation": sample_dev,
         "s_grid": [complex(s) for s in cert.grid],
         "h_values": [complex(v) for v in cert.values],
         "min_im_h": cert.min_im,
         "worst_cr": cert.worst_cr,
-        "cr_tol": args.tol,
-        "cr_step": args.cr_step,
         "passed": not anomalies,
     }
     return results, anomalies
 
 
+class _Command(NamedTuple):
+    """One row of the command table."""
+
+    run: Callable[[RunConfig, argparse.Namespace], tuple[dict, list]]
+    reads: tuple[str, ...]  # flags besides --config and --out
+    tol: float | None  # default --tol
+    upper_half_plane: bool  # every frequency must satisfy Im ω > 0
+    help: str
+
+
 _COMMANDS = {
-    "transfer": _cmd_transfer,
-    "dtn": _cmd_dtn,
-    "certify": _cmd_certify,
-    "energy": _cmd_energy,
-    "sweep": _cmd_sweep,
-    "trajectory": _cmd_trajectory,
+    "transfer": _Command(_cmd_transfer, (), None, False,
+                         "compute a transfer matrix at one frequency"),
+    "dtn": _Command(_cmd_dtn, (), None, True,
+                    "compute and certify the boundary operator at one frequency"),
+    "certify": _Command(_cmd_certify, ("--tol", "--cr-step"), CR_TOL, True,
+                        "sweep a frequency grid and certify positivity/analyticity"),
+    "energy": _Command(_cmd_energy, ("--tol", "--quad-points"), ENERGY_TOL, True,
+                       "check the energy-conservation identity for one solution"),
+    "sweep": _Command(_cmd_sweep, ("--tol", "--cr-step"), CR_TOL, True,
+                      "sweep a frequency grid and write per-point data as CSV"),
+    "trajectory": _Command(_cmd_trajectory, ("--tol", "--cr-step"), CR_TOL, True,
+                           "certify scalar samples along a material trajectory"),
 }
 
 
@@ -341,27 +341,14 @@ def _build_parser() -> _Parser:
         "--cr-step": dict(type=float, dest="cr_step",
                           help="CR stencil width (default: 1e-4 scaled by |omega|)"),
     }
-    commands = {  # help, flags read, default --tol
-        "transfer": ("compute a transfer matrix at one frequency", (), None),
-        "dtn": ("compute and certify the boundary operator at one frequency", (),
-                None),
-        "certify": ("sweep a frequency grid and certify positivity/analyticity",
-                    ("--tol", "--cr-step"), CR_TOL),
-        "energy": ("check the energy-conservation identity for one solution",
-                   ("--tol", "--quad-points"), ENERGY_TOL),
-        "sweep": ("sweep a frequency grid and write per-point data as CSV",
-                  ("--tol", "--cr-step"), CR_TOL),
-        "trajectory": ("certify scalar samples along a material trajectory",
-                       ("--tol", "--cr-step"), CR_TOL),
-    }
-    for name, (h, reads, tol) in commands.items():
-        p = sub.add_parser(name, help=h)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        for flag in reads:
+        for flag in command.reads:
             p.add_argument(flag, **flags[flag])
         # a flag the command does not read keeps its default for main's checks
-        p.set_defaults(tol=tol, quad_points=2000, cr_step=None)
+        p.set_defaults(tol=command.tol, quad_points=2000, cr_step=None)
     return parser
 
 
@@ -389,14 +376,14 @@ def main(argv=None) -> int:
             print(f"dtnstack: --tol must be finite and > 0, got {args.tol}",
                   file=sys.stderr)
             return 1
-        results, anomalies = _COMMANDS[args.command](cfg, args)
+        results, anomalies = _COMMANDS[args.command].run(cfg, args)
     except (SingularMatrixError, NumericRangeError) as exc:
         print(f"dtnstack: numerical anomaly: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:
         print(f"dtnstack: {exc}", file=sys.stderr)
         return 1
-    body = make_report_body(args.command, cfg.echo, results, anomalies)
+    body = make_report_body(args.command, doc, results, anomalies)
     try:
         path = emit_report(args.out, body)
     except OSError as exc:

@@ -101,10 +101,6 @@ def _normal_entry_vanishes(V: np.ndarray) -> bool:
     comparison covers the whole batch."""
     flat, eps = np.ascontiguousarray(V).view(float), np.finfo(float).eps
     normal = np.maximum(np.abs(flat[..., 2, 4]), np.abs(flat[..., 2, 5]))
-    # no tensor can fail when every normal entry beats eps times the batch's
-    # largest entry: two reductions without a temporary decide most batches
-    if normal.min(initial=np.inf) > eps * max(flat.max(initial=0.0), -flat.min(initial=0.0)):
-        return False
     size = np.abs(flat).reshape(V.shape[:-2] + (18,))
     return bool(np.any(eps * size >= normal[..., np.newaxis]))
 

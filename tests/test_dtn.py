@@ -28,14 +28,17 @@ from dtnstack.transfer import (
     J,
     RHO,
     field_profile,
+    propagate,
     resolve_layers,
     resolve_stack,
     transfer,
 )
 from generators import (
     rand_constant_material,
+    rand_hermitian,
     rand_kappa,
     rand_omega,
+    rand_posdef,
     rand_stack,
     rand_tangential,
     vacuum_slab,
@@ -361,6 +364,94 @@ def test_dtn_defining_relation(rng):
                            rtol=1e-9, atol=1e-11)
         assert np.allclose(g[3:], 1j * np.array([psi0[2], psi0[3], 0.0]),
                            rtol=1e-9, atol=1e-11)
+
+
+# ------------------------------------------------------- exact identities of Λ
+
+#: random stacks per identity test
+IDENTITY_DRAWS = 60
+
+
+def _identity_stack(rng, symmetric=False):
+    """1–3 layers of thickness 0.2–1 with ωε, ωμ = H + iP (H Hermitian, P
+    positive definite; both real symmetric when ``symmetric``) and |κ| ≤ 1.5."""
+    def tensor():
+        H, P = rand_hermitian(rng), rand_posdef(rng)
+        return H.real + 1j * P.real if symmetric else H + 1j * P
+
+    n = int(rng.integers(1, 4))
+    we, wm = np.stack([tensor() for _ in range(n)]), np.stack([tensor() for _ in range(n)])
+    r, phi = rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * np.pi)
+    return rng.uniform(0.2, 1.0, n), we, wm, r * np.array([np.cos(phi), np.sin(phi)])
+
+
+def _compression(d, we, wm, kappa):
+    return dtn_from_tensors(list(zip(d, we, wm)), tuple(kappa))[0].tangential_compression
+
+
+def _assert_identity(got, want, d, we, wm, kappa):
+    # the rounding error of C tracks eps·‖T‖², not a fixed bound: it reaches
+    # 1e-10 at ‖T‖₂ ≈ 4e4, and the worst of 400 draws read 12.1 eps·‖T‖²
+    T = propagate(d, we, wm, tuple(kappa))
+    bound = 64 * np.finfo(float).eps * max(np.linalg.norm(T, 2), 1.0) ** 2
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
+def test_lambda_power_of_two_scaling_is_bitwise(rng):
+    # (d, ωε, ωμ, κ) -> (d/2, 2ωε, 2ωμ, 2κ) scales A by 2 and every width by
+    # 1/2, both exactly, so each layer exponentiates the same matrix
+    for _ in range(IDENTITY_DRAWS):
+        d, we, wm, kappa = _identity_stack(rng)
+        assert np.array_equal(_compression(d / 2, 2 * we, 2 * wm, 2 * kappa),
+                              _compression(d, we, wm, kappa))
+
+
+def test_lambda_scaling_identity(rng):
+    for _ in range(IDENTITY_DRAWS):
+        d, we, wm, kappa = _identity_stack(rng)
+        _assert_identity(_compression(d / 3, 3 * we, 3 * wm, 3 * kappa),
+                         _compression(d, we, wm, kappa), d, we, wm, kappa)
+
+
+def test_lambda_layer_splitting_identity(rng):
+    # layer j cut 0.4/0.6 into two layers of the same medium
+    for _ in range(IDENTITY_DRAWS):
+        d, we, wm, kappa = _identity_stack(rng)
+        j = int(rng.integers(len(d)))
+        split = np.insert(d, j, 0.4 * d[j])
+        split[j + 1] = 0.6 * d[j]
+        got = _compression(split, np.insert(we, j, we[j], axis=0),
+                           np.insert(wm, j, wm[j], axis=0), kappa)
+        _assert_identity(got, _compression(d, we, wm, kappa), d, we, wm, kappa)
+
+
+def test_lambda_rotation_identity(rng):
+    # rotating κ and every tensor about z by R rotates C to Q C Qᵀ,
+    # Q = diag(R₂, R₂) on the tangential (E, H) pairs
+    for _ in range(IDENTITY_DRAWS):
+        d, we, wm, kappa = _identity_stack(rng)
+        phi = rng.uniform(0.0, 2 * np.pi)
+        R = np.array([[np.cos(phi), -np.sin(phi), 0.0], [np.sin(phi), np.cos(phi), 0.0],
+                      [0.0, 0.0, 1.0]])
+        Q = np.kron(np.eye(2), R[:2, :2])
+        got = _compression(d, R @ we @ R.T, R @ wm @ R.T, R[:2, :2] @ kappa)
+        _assert_identity(got, Q @ _compression(d, we, wm, kappa) @ Q.T, d, we, wm, kappa)
+
+
+def test_lambda_transposed_medium_identity(rng):
+    # C(εᵀ, μᵀ, −κ) = C(ε, μ, κ)ᵀ for general tensors (as strided views)
+    for _ in range(IDENTITY_DRAWS):
+        d, we, wm, kappa = _identity_stack(rng)
+        got = _compression(d, we.swapaxes(-1, -2), wm.swapaxes(-1, -2), -kappa)
+        _assert_identity(got, _compression(d, we, wm, kappa).T, d, we, wm, kappa)
+
+
+def test_lambda_reciprocity_for_complex_symmetric_tensors(rng):
+    # the transposed-medium identity with εᵀ = ε and μᵀ = μ
+    for _ in range(IDENTITY_DRAWS):
+        d, we, wm, kappa = _identity_stack(rng, symmetric=True)
+        _assert_identity(_compression(d, we, wm, -kappa),
+                         _compression(d, we, wm, kappa).T, d, we, wm, kappa)
 
 
 # ------------------------------------------------------------- energy balance
