@@ -11,7 +11,8 @@ workload configs come from ``perfbench/workloads.generate`` of this
 checkout, so both sides read the same inputs. Each run whose
 ``report.json``, ``sweep.csv``, exit code, stdout or stderr differs is
 printed, with the largest relative change of every numeric field that
-moved. A run of this checkout that exits 2 while its report lists no
+moved, or the output's unified diff where no field moved (``-0`` and ``0``
+read alike). A run of this checkout that exits 2 while its report lists no
 anomaly (a silent FAIL) is printed and counted as a difference too. Exits 1
 if any run differs, 0 otherwise.
 """
@@ -120,14 +121,18 @@ def field_changes(a: str, b: str, name: str) -> list[str]:
 
 
 def describe(key: str, a, b) -> list[str]:
-    """What differs in one output of one run, as printable lines."""
+    """What differs in one output of one run, as printable lines: the field
+    changes of a report or sweep CSV, else (also where bytes differ but no
+    field value does, as ``-0`` against ``0``) the unified diff."""
     if a is None or b is None:
         return [f"written on one side only ({'this' if b is None else 'other'} checkout)"]
     if key in OUTPUTS:
         try:
-            return field_changes(a, b, key)
+            changes = field_changes(a, b, key)
         except (ValueError, IndexError):
-            pass
+            changes = []
+        if changes:
+            return changes
     return [line.rstrip("\n") for line in
             difflib.unified_diff(b.splitlines(True), a.splitlines(True),
                                  "other", "this", n=0)]

@@ -175,14 +175,11 @@ def _certified_points(stack: StackSpec, kappa, grid: Sequence[complex],
     ``Im omega > 0`` and real-``kappa`` gates of every point. Each
     :func:`_stencil_pass` chunk is resolved, propagated and certified in one
     pass."""
-    z0 = stack.z_min if z0 is None else float(z0)
-    z1 = stack.z_max if z1 is None else float(z1)
-    omegas, k = _certified_inputs(kappa, grid, z0, z1)
+    omegas, k, z0, z1 = _certified_inputs(stack, kappa, grid, z0, z1)
 
     def evaluate(stencils):
-        L, certs = _certified_dtn(*resolve_stack(stack, stencils), k, stack.c,
-                                  stack.z_min, z0, z1, certify=CR_OFFSETS == 0)
-        return L[..., TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES], certs
+        return _certified_dtn(*resolve_stack(stack, stencils), k, stack.c,
+                              stack.z_min, z0, z1, certify=CR_OFFSETS == 0)
 
     for w, (centre, worst, cert) in zip(
             omegas.tolist(), _stencil_pass(omegas, step, len(stack.layers), evaluate,

@@ -7,12 +7,12 @@ boundary operator
 
     Lambda [E×n |top; E×n |bottom] = [i n×H×n |top; i n×H×n |bottom]
 
-is then a linear 6×6 map built from ``Gamma`` by embedding the tangential
-planes into 3-space. For passive media at frequencies in the open upper
-half-plane the flux form ``J - T* J T`` is positive definite, all four blocks
-of ``T`` are invertible, and ``Im Lambda`` restricted to the tangential
-coordinates is positive definite — these are the facts the certificates in
-this module check numerically.
+is then a 6×6 map whose only nonzero part, rows and columns 0, 1, 3, 4, is
+``C = i Gamma diag(RHO*, -RHO*)``. For passive media at frequencies in the
+open upper half-plane the flux form ``J - T* J T`` is positive definite, all
+four blocks of ``T`` are invertible, and ``Im Lambda`` restricted to the
+tangential coordinates is positive definite — these are the facts the
+certificates in this module check numerically.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .linalg import (
     inverse,
     min_im_eig,
 )
-from .stack import StackSpec, locate
+from .stack import StackSpec, _faces, locate
 from .transfer import (
     _TAYLOR_K,
     J,
@@ -49,8 +49,6 @@ from .transfer import (
 )
 
 __all__ = [
-    "P_T",
-    "E3_CROSS",
     "FluxForm",
     "GammaMatrix",
     "DtnMap",
@@ -66,13 +64,6 @@ __all__ = [
     "dtn_from_tensors",
     "energy_balance",
 ]
-
-#: embedding of the tangential plane into 3-space (third row zero)
-P_T = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
-#: cross-product matrix of the stacking direction, e3 × (·)
-E3_CROSS = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-                    dtype=complex)
 
 #: indices of the tangential rows/columns of a 6×6 boundary operator
 TANGENTIAL_INDICES = np.array([0, 1, 3, 4])
@@ -195,7 +186,8 @@ def _gamma_matrix(T: np.ndarray) -> np.ndarray:
     T11, T12 = T[..., :2, :2], T[..., :2, 2:]
     T21, T22 = T[..., 2:, :2], T[..., 2:, 2:]
     inv_T12 = inverse(T12, "T12")
-    return np.block([[T22 @ inv_T12, T21 - T22 @ inv_T12 @ T11],
+    T22_inv_T12 = T22 @ inv_T12
+    return np.block([[T22_inv_T12, T21 - T22_inv_T12 @ T11],
                      [inv_T12, -inv_T12 @ T11]])
 
 
@@ -216,7 +208,7 @@ class DtnMap:
     """Boundary operator on tangential traces at the two faces.
 
     ``matrix`` is 6×6 acting on stacked 3-vectors (top face first); rows and
-    columns 3 and 6 are identically zero because both the inputs and outputs
+    columns 2 and 5 are identically zero because both the inputs and outputs
     are tangential. A batch of operators has ``matrix`` of shape
     ``(..., 6, 6)``; ``tangential_compression`` indexes the last two axes.
     """
@@ -227,22 +219,32 @@ class DtnMap:
 
     @property
     def tangential_compression(self) -> np.ndarray:
-        """The 4×4 restriction to rows/columns 1, 2, 4, 5."""
+        """The 4×4 restriction to rows/columns 0, 1, 3, 4."""
         return self.matrix[..., TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES]
+
+
+def _compression(G: np.ndarray) -> np.ndarray:
+    """Tangential compressions ``C = i Gamma diag(RHO*, -RHO*)`` of a ``Gamma``
+    matrix or a batch: ``Gamma``'s columns 1, 0, 3, 2 times ``i, -i, -i, i``."""
+    return G[..., [1, 0, 3, 2]] * np.array([1j, -1j, -1j, 1j])
+
+
+def _operator(C: np.ndarray) -> np.ndarray:
+    """6×6 boundary operators with tangential compressions ``C``, zero elsewhere."""
+    L = np.zeros(C.shape[:-2] + (6, 6), dtype=complex)
+    L[..., TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES] = C
+    return L
 
 
 def _lambda_matrix(G: np.ndarray) -> np.ndarray:
     """6×6 boundary operators of a ``Gamma`` matrix or a batch of them."""
-    Pt, E = P_T, E3_CROSS
-    return np.block([[1j * Pt @ G[..., :2, :2] @ Pt.T @ E, -1j * Pt @ G[..., :2, 2:] @ Pt.T @ E],
-                     [1j * Pt @ G[..., 2:, :2] @ Pt.T @ E, -1j * Pt @ G[..., 2:, 2:] @ Pt.T @ E]])
+    return _operator(_compression(G))
 
 
 def lambda_map(G: GammaMatrix, z0: float = 0.0, z1: float = 1.0) -> DtnMap:
-    """Assemble the 6×6 boundary operator from ``Gamma``.
-
-    ``Lambda = i diag(P_T, P_T) Gamma diag(P_T^T, P_T^T) diag(e3×, -e3×)``.
-    """
+    """Assemble the 6×6 boundary operator from ``Gamma``: its tangential
+    compression (rows and columns 0, 1, 3, 4) is ``C = i Gamma diag(RHO*,
+    -RHO*)``, and the rest of ``Lambda`` is zero."""
     return DtnMap(float(z0), float(z1), _lambda_matrix(G.matrix))
 
 
@@ -265,32 +267,32 @@ def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float
                    z0: float | None = None, z1: float | None = None,
                    certify=True, phase_of_layer=None
                    ) -> tuple[np.ndarray, tuple[DtnCertificate, ...]]:
-    """Boundary operators ``batch + (6, 6)`` of resolved stacks with tensors of
-    shape ``batch + (L, 3, 3)`` (per phase, with ``phase_of_layer``: see
-    :func:`~dtnstack.transfer.propagate`), and the certificates of the
-    entries where ``certify`` (broadcast to ``batch``) is true, in C order.
-    Every entry goes through the ``T12`` singularity guard; the certified
-    ones get the passivity, well-posedness and positivity checks, one
-    batched call each."""
+    """Tangential compressions ``batch + (4, 4)`` of the boundary operators of
+    resolved stacks with tensors of shape ``batch + (L, 3, 3)`` (per phase,
+    with ``phase_of_layer``: see :func:`~dtnstack.transfer.propagate`), and
+    the certificates of the entries where ``certify`` (broadcast to
+    ``batch``) is true, in C order. Every entry goes through the ``T12``
+    singularity guard; the certified ones get the passivity, well-posedness
+    and positivity checks, one batched call each."""
     T = propagate(thickness, omega_eps, omega_mu, kappa, c, z_min, z0, z1, phase_of_layer)
-    L = _lambda_matrix(_gamma_matrix(T))
+    C = _compression(_gamma_matrix(T))
     mask = np.broadcast_to(certify, T.shape[:-2])
     if not mask.any():
-        return L, ()
+        return C, ()
     we, wm = omega_eps[mask], omega_mu[mask]
     if phase_of_layer is not None:  # passivity is certified per layer
         we, wm = we[:, phase_of_layer], wm[:, phase_of_layer]
     pc = passivity_check(we, wm)  # (entries, layers) arrays
+    names = [f"layer {j}" for j in range(pc.ok.shape[-1])]
     wds = check_well_defined(T[mask])
-    im_mins = min_im_eig(L[mask][:, TANGENTIAL_INDICES[:, None], TANGENTIAL_INDICES])
+    im_mins = min_im_eig(C[mask])
     certs = []
     for i, im_min in enumerate(im_mins.tolist()):
-        passivity = tuple(PassivityCertificate(*v) for v in zip(*(a[i].tolist() for a in pc)))
-        passive = all(p.ok for p in passivity)
+        row = PassivityCertificate(*(a[i] for a in pc))
+        passivity = tuple(PassivityCertificate(*v) for v in zip(*(a.tolist() for a in row)))
+        anomalies = passivity_anomalies(row, names)
+        passive = not anomalies
         wd = _row(wds, i)
-        anomalies = [] if passive else passivity_anomalies(
-            PassivityCertificate(*(a[i] for a in pc)),
-            [f"layer {j}" for j in range(len(passivity))])
         # margins are meaningless once |min eig| sinks below the rounding floor
         # of J - T*JT: a failed flux or compression check there is
         # indeterminate, not a contradiction (the verdict stays fail-closed)
@@ -315,7 +317,7 @@ def _certified_dtn(thickness, omega_eps, omega_mu, kappa, c: float, z_min: float
                 f"Im of the tangential compression not positive definite "
                 f"(min eig {im_min:.3e})")
         certs.append(DtnCertificate(passivity, passive, wd, im_min, tuple(anomalies)))
-    return L, tuple(certs)
+    return C, tuple(certs)
 
 
 def _validate_kappa_real(kappa) -> tuple[float, float]:
@@ -326,11 +328,13 @@ def _validate_kappa_real(kappa) -> tuple[float, float]:
     return float(k[0].real), float(k[1].real)
 
 
-def _certified_inputs(kappa, omegas, z0: float,
-                      z1: float) -> tuple[np.ndarray, tuple[float, float]]:
-    """The frequencies as an array and the real wavevector, after the gates of
-    the certified routes: ``Im omega > 0`` everywhere, real ``kappa`` and
-    ``z0 < z1``."""
+def _certified_inputs(stack: StackSpec, kappa, omegas, z0: float | None, z1: float | None
+                      ) -> tuple[np.ndarray, tuple[float, float], float, float]:
+    """The frequencies as an array, the real wavevector and the faces ``z0``,
+    ``z1`` (``None``: the stack's own), after the gates of the certified
+    routes: ``Im omega > 0`` everywhere, real ``kappa`` and ``z0 < z1``."""
+    z0 = stack.z_min if z0 is None else float(z0)
+    z1 = stack.z_max if z1 is None else float(z1)
     w = np.asarray(omegas, dtype=complex)
     if np.any(w.imag <= 0.0):
         raise DomainError(f"omega must satisfy Im omega > 0, got "
@@ -338,7 +342,7 @@ def _certified_inputs(kappa, omegas, z0: float,
     k = _validate_kappa_real(kappa)
     if not z0 < z1:
         raise GeometryError(f"need z0 < z1, got z0={z0}, z1={z1}")
-    return w, k
+    return w, k, z0, z1
 
 
 def dtn(stack: StackSpec, kappa, omega, z0: float, z1: float) -> tuple[DtnMap, DtnCertificate]:
@@ -363,9 +367,9 @@ def dtn(stack: StackSpec, kappa, omega, z0: float, z1: float) -> tuple[DtnMap, D
         non-passive layer included, is reported in ``certificate.anomalies``
         rather than raised; ``certificate.ok`` is true iff there is none.
     """
-    w, k = _certified_inputs(kappa, complex(omega), z0, z1)
-    L, (cert,) = _certified_dtn(*resolve_stack(stack, w), k, stack.c, stack.z_min, z0, z1)
-    return DtnMap(float(z0), float(z1), L), cert
+    w, k, z0, z1 = _certified_inputs(stack, kappa, complex(omega), z0, z1)
+    C, (cert,) = _certified_dtn(*resolve_stack(stack, w), k, stack.c, stack.z_min, z0, z1)
+    return DtnMap(z0, z1, _operator(C)), cert
 
 
 def _tensor_dtn(thickness, phase_of_layer, Z, kappa, c: float, z_min: float,
@@ -379,9 +383,9 @@ def _tensor_dtn(thickness, phase_of_layer, Z, kappa, c: float, z_min: float,
     k = _validate_kappa_real(kappa)
     S = np.stack(np.broadcast_arrays(*Z), axis=-3)
     P = len(Z) // 2
-    L, certs = _certified_dtn(thickness, S[..., :P, :, :], S[..., P:, :, :], k, c, z_min,
+    C, certs = _certified_dtn(thickness, S[..., :P, :, :], S[..., P:, :, :], k, c, z_min,
                               certify=certify, phase_of_layer=np.asarray(phase_of_layer))
-    return DtnMap(float(z_min), float(np.cumsum((z_min, *thickness))[-1]), L), certs
+    return DtnMap(float(z_min), float(_faces(z_min, thickness)[-1]), _operator(C)), certs
 
 
 def dtn_from_tensors(layer_tensors, kappa, c: float = 1.0, z_min: float = 0.0
@@ -561,9 +565,7 @@ def energy_balance(stack: StackSpec, psi0, kappa, omega,
     -------
     EnergyReport
     """
-    z0 = stack.z_min if z0 is None else float(z0)
-    z1 = stack.z_max if z1 is None else float(z1)
-    w, k = _certified_inputs(kappa, complex(omega), z0, z1)
+    w, k, z0, z1 = _certified_inputs(stack, kappa, complex(omega), z0, z1)
     if n_points < 1:
         raise DomainError(f"n_points must be >= 1, got {n_points}")
     b = stack.boundaries

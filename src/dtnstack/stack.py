@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 
+def _faces(z_min: float, thickness) -> np.ndarray:
+    """Interface coordinates of layers ``thickness``, bottom to top, from ``z_min``."""
+    return float(z_min) + np.concatenate(([0.0], np.cumsum(np.asarray(thickness, dtype=float))))
+
+
 @dataclass(frozen=True)
 class Layer:
     """One homogeneous slab: positive thickness plus its material."""
@@ -79,8 +84,7 @@ class StackSpec:
     @property
     def boundaries(self) -> np.ndarray:
         """Interface coordinates, ``z_min`` through ``z_max`` inclusive."""
-        t = np.array([ly.thickness for ly in self.layers])
-        return self.z_min + np.concatenate(([0.0], np.cumsum(t)))
+        return _faces(self.z_min, [ly.thickness for ly in self.layers])
 
     @property
     def z_max(self) -> float:

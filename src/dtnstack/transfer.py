@@ -19,7 +19,7 @@ import numpy as np
 from .exceptions import GeometryError, NumericRangeError, ParameterError, SingularMatrixError
 from .herglotz import eval_responses
 from .linalg import MAT_EXP_BATCH, as_cmatrix, inverse, mat_exp
-from .stack import StackSpec, locate
+from .stack import StackSpec, _faces, locate
 
 __all__ = [
     "RHO",
@@ -208,7 +208,7 @@ def propagate(thickness, omega_eps, omega_mu, kappa, c: float = 1.0,
     if z0 is None and z1 is None:
         widths = t
     else:
-        b = float(z_min) + np.concatenate(([0.0], np.cumsum(t)))
+        b = _faces(z_min, t)
         for z in (z0, z1):
             if not b[0] <= z <= b[-1]:
                 raise GeometryError(f"z={z} outside the stack [{b[0]}, {b[-1]}]")

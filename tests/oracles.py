@@ -3,9 +3,10 @@
 Nothing in this file may call the package's propagation or matrix-exponential
 routines: the transfer oracle integrates the tangential ODE with a hand-rolled
 fixed-step RK4 plus step doubling, the field and layer-product oracles
-exponentiate in 50-digit ``mpmath``, and the rearrangement oracle solves the
-defining linear system directly. Keeping these routes separate from the
-implementation is the whole point.
+exponentiate in 50-digit ``mpmath``, the rearrangement oracle solves the
+defining linear system directly, and the boundary-operator oracle embeds the
+tangential planes into 3-space by matrix products. Keeping these routes
+separate from the implementation is the whole point.
 """
 import numpy as np
 
@@ -169,6 +170,24 @@ def gamma_oracle(T, u1, u0):
     sol = np.linalg.solve(M, rhs)
     v0, v1 = sol[:2], sol[2:]
     return np.concatenate([v1, v0])
+
+
+#: embedding of the tangential plane into 3-space (third row zero)
+P_T_ORACLE = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+#: cross-product matrix of the stacking direction, e3 × (·)
+E3_CROSS_ORACLE = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                           dtype=complex)
+
+
+def lambda_oracle(G):
+    """6×6 boundary operators of a ``Gamma`` matrix or a batch (..., 4, 4) by
+    the embedding products
+    ``Lambda = i diag(P_T, P_T) Gamma diag(P_T^T, P_T^T) diag(e3×, -e3×)``,
+    one 3×3 block per 2×2 block of ``Gamma``."""
+    Pt, E = P_T_ORACLE, E3_CROSS_ORACLE
+    return np.block([[1j * Pt @ G[..., :2, :2] @ Pt.T @ E, -1j * Pt @ G[..., :2, 2:] @ Pt.T @ E],
+                     [1j * Pt @ G[..., 2:, :2] @ Pt.T @ E, -1j * Pt @ G[..., 2:, 2:] @ Pt.T @ E]])
 
 
 def power_sums_oracle(a, d, count, s_max, dps=50):

@@ -24,6 +24,7 @@ from dtnstack import (
     trajectory_coeffs,
 )
 from dtnstack import analyticity
+from dtnstack import dtn as dtn_module
 from dtnstack.dtn import _gamma_matrix, _lambda_matrix, dtn
 from dtnstack.transfer import propagate
 from dtnstack.analyticity import (
@@ -233,6 +234,26 @@ def test_herglotz_certify_accepts_an_array_grid(rng):
         assert a[:4] == b[:4] and np.array_equal(a.compression, b.compression)
     with pytest.raises(ParameterError, match="grid must be nonempty"):
         herglotz_certify(s, kappa, np.array([], dtype=complex))
+
+
+def test_herglotz_certify_never_forms_the_6x6_operator(rng, monkeypatch):
+    # the grid certificate carries only the tangential compression: with the
+    # 6×6 assembly disabled it still certifies, and each record's compression
+    # is the one dtn's operator holds
+    s = rand_stack(rng, max_layers=3, dispersive=True)
+    kappa, grid = rand_kappa(rng), [0.3 + 0.8j, -0.5 + 1.2j]
+    want = [dtn(s, kappa, w, s.z_min, s.z_max)[0].tangential_compression for w in grid]
+
+    def forbidden(*args):
+        raise AssertionError("the grid certificate formed a 6×6 operator")
+    monkeypatch.setattr(dtn_module, "_lambda_matrix", forbidden)
+    monkeypatch.setattr(dtn_module, "_operator", forbidden)
+    cert = herglotz_certify(s, kappa, grid)
+    assert cert.passed
+    for rec, C in zip(cert.points, want, strict=True):
+        assert np.array_equal(rec.compression, C)
+    with pytest.raises(AssertionError, match="6×6"):
+        dtn(s, kappa, grid[0], s.z_min, s.z_max)
 
 
 def test_herglotz_certify_chunks_match_certify_point(rng):

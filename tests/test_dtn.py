@@ -21,7 +21,8 @@ from dtnstack import (
     lambda_map,
     locate,
 )
-from dtnstack.dtn import _layer_point_counts, _power_sums, dtn
+from dtnstack.analyticity import phase_dtn, phase_tensors
+from dtnstack.dtn import _lambda_matrix, _layer_point_counts, _power_sums, dtn
 from dtnstack.linalg import hermitian_parts
 from dtnstack.transfer import (
     _TAYLOR_K,
@@ -43,7 +44,7 @@ from generators import (
     rand_tangential,
     vacuum_slab,
 )
-from oracles import energy_midpoint_oracle, gamma_oracle, power_sums_oracle
+from oracles import energy_midpoint_oracle, gamma_oracle, lambda_oracle, power_sums_oracle
 
 RHO_STAR = RHO.conj().T
 
@@ -175,6 +176,40 @@ def test_lambda_zero_normal_rows_and_columns(rng):
     assert np.array_equal(L.matrix[5, :], np.zeros(6))
     assert np.array_equal(L.matrix[:, 2], np.zeros(6))
     assert np.array_equal(L.matrix[:, 5], np.zeros(6))
+
+
+def _with_zeros(rng, shape):
+    """Random complex arrays whose real and imaginary parts are exact zeros of
+    either sign in about a third of the entries, and whose first entry is all
+    zero."""
+    G = np.empty(shape, dtype=complex)
+    for part in (G.real, G.imag):
+        u = rng.random(shape)
+        part[...] = np.where(u < 0.2, 0.0, np.where(u > 0.85, -0.0, rng.standard_normal(shape)))
+    G[0] = 0.0
+    return G
+
+
+def test_lambda_by_index_equals_the_embedding_products(rng):
+    # Lambda is written by index; the oracle forms the paper's 12 products.
+    # == ignores the signs of zeros, which only the products leave as -0
+    G = _with_zeros(rng, (2000, 4, 4))
+    L = _lambda_matrix(G)
+    assert L.shape == (2000, 6, 6)
+    assert np.all(L == lambda_oracle(G))
+    assert np.all(_lambda_matrix(G[1]) == lambda_oracle(G[1]))
+    normal = np.concatenate([L[:, [2, 5], :], np.swapaxes(L[:, :, [2, 5]], -1, -2)]).view(float)
+    assert not np.any(normal) and not np.any(np.signbit(normal))  # every entry +0.0
+
+
+def test_lambda_compression_is_i_gamma_diag_rho(rng):
+    # C = i Gamma diag(RHO*, -RHO*), also where Gamma has zero blocks
+    # (T11 = T21 = 0 zeroes Gamma's right column)
+    T = rng.standard_normal((200, 4, 4)) + 1j * rng.standard_normal((200, 4, 4))
+    T[:50, :, :2] = 0.0
+    G = gamma(T)
+    D = np.block([[RHO_STAR, np.zeros((2, 2))], [np.zeros((2, 2)), -RHO_STAR]])
+    assert np.all(lambda_map(G).tangential_compression == 1j * G.matrix @ D)
 
 
 def test_lambda_frozen_vacuum_closed_form():
@@ -309,6 +344,16 @@ def test_dtn_from_tensors_matches_stack_route(rng):
                                  z_min=s.z_min)
     assert np.allclose(L1.matrix, L2.matrix, atol=1e-13)
     assert c1.ok and c2.ok
+
+
+def test_tensor_routes_end_at_the_stack_top_face(rng):
+    # the stack, dtn_from_tensors and phase_dtn take the top face by one rule
+    for _ in range(60):
+        s = rand_stack(rng, max_layers=8)
+        kap, om = rand_kappa(rng), rand_omega(rng)
+        assert dtn_from_tensors(resolve_layers(s, om), kap, s.c, s.z_min)[0].z1 == s.z_max
+        _, phase_of_layer, Z = phase_tensors(s, om)
+        assert phase_dtn(s, kap, phase_of_layer, Z).z1 == s.z_max
 
 
 def test_dtn_from_tensors_batch_matches_single_entries(rng):
